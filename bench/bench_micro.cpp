@@ -35,19 +35,15 @@
 #include <utility>
 #include <vector>
 
-#include "app/sender_factory.hpp"
-#include "env/sim_env.hpp"
 #include "harness/result_sink.hpp"
 #include "harness/scenario.hpp"
 #include "net/drop_tail.hpp"
 #include "net/node.hpp"
 #include "net/red.hpp"
-#include "pdes/flow_arena.hpp"
 #include "pdes/sharded.hpp"
 #include "sim/legacy_scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "stats/table.hpp"
-#include "tcp/receiver.hpp"
 #include "topo/presets.hpp"
 
 // ---------------------------------------------------------------------------
@@ -402,70 +398,6 @@ EndToEnd run_end_to_end(int n_flows, sim::Time horizon, int repeat) {
 }
 
 // ---------------------------------------------------------------------------
-// flow_arena_churn: building and tearing down per-flow endpoint state at
-// scale — each flow's concrete sender (footprints straight from the
-// SenderFactory registry's arena vtable), its receiver and the two
-// environment seams. Engine "heap" pays one operator new/delete per object
-// (the unique_ptr soup the plain Scenario builds); engine "arena" bumps
-// through one pre-faulted pdes::FlowArena block and must stay at exactly
-// 0 allocs/object in the measured region — the steady-state claim in
-// flow_arena.hpp, enforced by scripts/check_perf_trajectory.py.
-std::vector<std::pair<std::size_t, std::size_t>> flow_footprints(int flows) {
-  static constexpr app::Variant kMix[] = {
-      app::Variant::kRr, app::Variant::kNewReno, app::Variant::kSack,
-      app::Variant::kReno};
-  const app::SenderFactory& reg = app::SenderFactory::instance();
-  std::vector<std::pair<std::size_t, std::size_t>> fp;
-  fp.reserve(static_cast<std::size_t>(flows) * 4);
-  for (int i = 0; i < flows; ++i) {
-    const app::SenderFactory::Entry& e = reg.at(kMix[i % 4]);
-    fp.emplace_back(e.size, e.align);
-    fp.emplace_back(sizeof(tcp::TcpReceiver), alignof(tcp::TcpReceiver));
-    fp.emplace_back(sizeof(env::SimEnvironment), alignof(env::SimEnvironment));
-    fp.emplace_back(sizeof(env::SimEnvironment), alignof(env::SimEnvironment));
-  }
-  return fp;
-}
-
-Measure run_arena_churn(bool use_arena, int flows, int repeat) {
-  const auto fp = flow_footprints(flows);
-  std::size_t total = 0;
-  for (const auto& [size, align] : fp) total += size + align;
-  Measure best;
-  for (int r = 0; r < repeat; ++r) {
-    Measure m;
-    if (use_arena) {
-      // One block holds the whole fleet; the pre-fault allocation maps it
-      // before the snapshot so the measured bump pointer never calls new.
-      pdes::FlowArena arena{total + 64};
-      arena.allocate(8, 8);
-      const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
-      const auto t0 = Clock::now();
-      for (const auto& [size, align] : fp) arena.allocate(size, align);
-      arena.reset();  // teardown frees the block; it never allocates
-      m.wall_s = seconds_since(t0);
-      m.allocs = g_allocs.load(std::memory_order_relaxed) - allocs0;
-    } else {
-      std::vector<void*> ptrs;
-      ptrs.reserve(fp.size());
-      for (const auto& f : fp) ptrs.push_back(::operator new(f.first));
-      for (void* p : ptrs) ::operator delete(p);  // warm the allocator
-      ptrs.clear();
-      const std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
-      const auto t0 = Clock::now();
-      for (const auto& f : fp) ptrs.push_back(::operator new(f.first));
-      for (void* p : ptrs) ::operator delete(p);
-      ptrs.clear();
-      m.wall_s = seconds_since(t0);
-      m.allocs = g_allocs.load(std::memory_order_relaxed) - allocs0;
-    }
-    m.units = fp.size();
-    keep_best(best, m);
-  }
-  return best;
-}
-
-// ---------------------------------------------------------------------------
 // shard_scaling: the sharded conservative-PDES engine against the single
 // engine on the same multi-dumbbell scenario (graph-mode FlowSet, RR
 // senders saturating the shared bottleneck). units = events executed
@@ -628,10 +560,6 @@ int main(int argc, char** argv) {
   const EndToEnd e2e_one = run_end_to_end(1, e2e_horizon, repeat);
   const EndToEnd e2e_ten = run_end_to_end(10, e2e_horizon, repeat);
 
-  const int arena_flows = quick ? 1'000 : 10'000;
-  const Measure arena_heap = run_arena_churn(false, arena_flows, repeat);
-  const Measure arena_pool = run_arena_churn(true, arena_flows, repeat);
-
   const int shard_flows = quick ? 8 : 32;
   const sim::Time shard_horizon = sim::Time::seconds(quick ? 3 : 8);
   const ShardScaling shard_single =
@@ -663,8 +591,6 @@ int main(int argc, char** argv) {
   add("route_forward", "flat_table", route_fwd, "hops");
   add("e2e_1flow", "pooled", e2e_one.packets, "packets");
   add("e2e_10flow_rr", "pooled", e2e_ten.packets, "packets");
-  add("flow_arena_churn", "heap", arena_heap, "objects");
-  add("flow_arena_churn", "arena", arena_pool, "objects");
   add("shard_scaling", "single", shard_single.m, "events");
   add("shard_scaling", "shard4", shard_multi.m, "events");
   table.print();
@@ -697,12 +623,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(e2e_ten.setup_allocs),
       e2e_ten.steady_allocs_per_packet());
   std::printf(
-      "flow_arena_churn speedup (arena vs heap): %.2fx, arena "
-      "allocs/object %.4f\n",
-      arena_heap.per_sec() > 0 ? arena_pool.per_sec() / arena_heap.per_sec()
-                               : 0.0,
-      arena_pool.allocs_per_unit());
-  std::printf(
       "shard_scaling (4 shards vs single, %d flows): %.2fx on %u hardware "
       "thread(s); %llu rounds, %llu cross-shard packets\n",
       shard_flows, shard_speedup, std::thread::hardware_concurrency(),
@@ -710,7 +630,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(shard_multi.cross_shard_packets));
 
   if (write_json) {
-    harness::ResultSink sink{17};
+    harness::ResultSink sink{15};
     auto put = [&sink](std::size_t i, harness::Record rec) {
       sink.submit(i, std::move(rec), 0.0);
     };
@@ -739,14 +659,8 @@ int main(int argc, char** argv) {
                 .set("setup_allocs", e2e_ten.setup_allocs)
                 .set("steady_allocs_per_packet",
                      e2e_ten.steady_allocs_per_packet()));
-    put(13, row("flow_arena_churn", "heap", arena_heap, "objects"));
-    put(14, row("flow_arena_churn", "arena", arena_pool, "objects")
-                .set("speedup_vs_heap",
-                     arena_heap.per_sec() > 0
-                         ? arena_pool.per_sec() / arena_heap.per_sec()
-                         : 0.0));
-    put(15, row("shard_scaling", "single", shard_single.m, "events"));
-    put(16, row("shard_scaling", "shard4", shard_multi.m, "events")
+    put(13, row("shard_scaling", "single", shard_single.m, "events"));
+    put(14, row("shard_scaling", "shard4", shard_multi.m, "events")
                 .set("speedup_vs_single", shard_speedup)
                 .set("rounds", shard_multi.rounds)
                 .set("cross_shard_packets", shard_multi.cross_shard_packets)

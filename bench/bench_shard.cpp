@@ -4,8 +4,7 @@
 // links carry real propagation delay, with --flows TCP flows (default
 // 10'000) packed onto 64 sender hosts via FlowSets — and runs it at shard
 // counts {1, 2, 4, 8}. The shards=1 leg is the plain single-engine
-// harness::Scenario (the delegation path), so the speedup column is a
-// true before/after.
+// harness::Scenario, so the speedup column is a true before/after.
 //
 // The speedup is whatever the machine can fund: each shard runs on its
 // own thread, so on an N-core box the curve should rise until the
@@ -101,7 +100,6 @@ struct Leg {
   std::uint64_t rounds = 0;
   std::uint64_t cross_shard_packets = 0;
   std::uint64_t flows_complete = 0;
-  std::size_t arena_objects = 0;
   double events_per_sec() const { return wall_s > 0 ? events / wall_s : 0.0; }
 };
 
@@ -116,7 +114,6 @@ Leg run_one(int shards, int flows, int hosts, sim::Time horizon) {
   leg.n_shards = sc.n_shards();
   leg.rounds = sc.rounds();
   leg.cross_shard_packets = sc.cross_shard_packets();
-  leg.arena_objects = sc.arena().objects();
   for (int i = 0; i < sc.n_flows(); ++i)
     if (sc.sender(i).complete()) ++leg.flows_complete;
   return leg;
@@ -193,8 +190,6 @@ int main(int argc, char** argv) {
       rec.set("rounds", leg.rounds);
       rec.set("cross_shard_packets", leg.cross_shard_packets);
       rec.set("flows_complete", leg.flows_complete);
-      rec.set("arena_objects",
-              static_cast<std::uint64_t>(leg.arena_objects));
       rec.set("hardware_threads",
               static_cast<int>(std::thread::hardware_concurrency()));
       sink.submit(i, std::move(rec), 0.0);

@@ -62,8 +62,7 @@ int main(int argc, char** argv) {
   spec.add_flow({.variant = variant});  // unbounded FTP starting at t=0
   pdes::ShardedScenario runner{spec};
   runner.run();
-  // The dumbbell never partitions, so the delegate is always present.
-  harness::Scenario& sc = *runner.single();
+  harness::Scenario& sc = runner.scenario();
 
   const sim::Time horizon = spec.horizon;
   const auto& st = sc.sender(0).stats();

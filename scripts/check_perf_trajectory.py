@@ -58,7 +58,6 @@ ZERO_ALLOC_ROWS = [
     ("droptail_queue", "ring"),
     ("red_queue", "ring"),
     ("route_forward", "flat_table"),
-    ("flow_arena_churn", "arena"),
 ]
 
 # Rows whose rate depends on real parallelism (thread scheduling, core

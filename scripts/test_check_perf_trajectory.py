@@ -71,9 +71,6 @@ def full_rowset(scale=1.0, forward_pooled_factor=2.5, alloc_overrides=None,
             a("route_forward", "flat_table"), unit="hops"),
         row("e2e_1flow", "pooled", 2e4 * scale, 0.1, unit="packets",
             steady_allocs_per_packet=steady),
-        row("flow_arena_churn", "heap", 1e7 * scale, 1.0, unit="objects"),
-        row("flow_arena_churn", "arena", 3e8 * scale,
-            a("flow_arena_churn", "arena"), unit="objects"),
         row("shard_scaling", "single", 1e7 * scale, 0.0),
         row("shard_scaling", "shard4", 8e6 * scale, 0.001),
     ]
@@ -186,14 +183,6 @@ class AllocGateTests(GateHarness):
         self.assertIn(("route_forward", "flat_table"), cpt.ZERO_ALLOC_ROWS)
         current = full_rowset(
             alloc_overrides={("route_forward", "flat_table"): 0.5})
-        self.assertEqual(self.run_gate(current, current), 1)
-
-    def test_flow_arena_is_alloc_gated(self):
-        # The FlowArena bump path joined ZERO_ALLOC_ROWS: steady-state
-        # arena construction must never reach operator new.
-        self.assertIn(("flow_arena_churn", "arena"), cpt.ZERO_ALLOC_ROWS)
-        current = full_rowset(
-            alloc_overrides={("flow_arena_churn", "arena"): 0.5})
         self.assertEqual(self.run_gate(current, current), 1)
 
     def test_e2e_steady_state_gated_separately_from_setup(self):

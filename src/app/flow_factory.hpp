@@ -33,6 +33,12 @@ Flow make_flow(Variant v, sim::Simulator& sim, net::Node& snd_node,
                net::Node& rcv_node, net::FlowId flow,
                tcp::TcpConfig cfg = {});
 
+// The same, with each endpoint on its own node's simulator — the flows of
+// a sharded scenario whose endpoints sit on different engines.
+Flow make_flow(Variant v, sim::Simulator& snd_sim, net::Node& snd_node,
+               sim::Simulator& rcv_sim, net::Node& rcv_node, net::FlowId flow,
+               tcp::TcpConfig cfg = {});
+
 // Environment-agnostic flavor: builds both endpoints against caller-owned
 // environments (one per endpoint, already peered with each other). This is
 // the path the live transport uses; in-sim callers can pass two
@@ -42,8 +48,8 @@ Flow make_flow(Variant v, env::Environment& snd_env, env::Environment& rcv_env,
 
 // The ReceiverConfig paired with a sender of variant `v` under `cfg` —
 // notably whether the receiver generates SACK blocks (a registry fact).
-// Exposed for construction paths that build receivers directly, e.g. the
-// arena-backed flows of pdes::ShardedScenario.
+// Exposed for callers that build receivers directly, e.g. a live endpoint
+// that owns its environment.
 tcp::ReceiverConfig receiver_config_for(Variant v, const tcp::TcpConfig& cfg);
 
 }  // namespace rrtcp::app

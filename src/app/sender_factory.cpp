@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <new>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -26,12 +25,6 @@ std::unique_ptr<tcp::TcpSenderBase> make_sender(env::Environment& env,
   return std::make_unique<Sender>(env, flow, cfg);
 }
 
-template <typename Sender>
-tcp::TcpSenderBase* place_sender(void* mem, env::Environment& env,
-                                 net::FlowId flow, const tcp::TcpConfig& cfg) {
-  return ::new (mem) Sender(env, flow, cfg);
-}
-
 }  // namespace
 
 SenderFactory::SenderFactory() {
@@ -39,8 +32,7 @@ SenderFactory::SenderFactory() {
                                      std::type_identity<Sender>,
                                      bool sack_receiver) {
     entries_[static_cast<std::size_t>(v)] =
-        Entry{name,           &make_sender<Sender>, sack_receiver,
-              sizeof(Sender), alignof(Sender),      &place_sender<Sender>};
+        Entry{name, &make_sender<Sender>, sack_receiver};
   };
   set(Variant::kTahoe, "tahoe", std::type_identity<tcp::TahoeSender>{}, false);
   set(Variant::kReno, "reno", std::type_identity<tcp::RenoSender>{}, false);

@@ -27,15 +27,6 @@ class SenderFactory {
  public:
   using Maker = std::unique_ptr<tcp::TcpSenderBase> (*)(
       env::Environment& env, net::FlowId flow, const tcp::TcpConfig& cfg);
-  // Placement flavor for arena-backed construction (pdes::FlowArena): the
-  // registry is the only place that knows the concrete sender type, so it
-  // publishes the type's size/alignment and a constructor that builds into
-  // caller-provided storage. The caller owns running the destructor
-  // (virtual ~TcpSenderBase dispatches to the concrete type).
-  using PlacementMaker = tcp::TcpSenderBase* (*)(void* mem,
-                                                 env::Environment& env,
-                                                 net::FlowId flow,
-                                                 const tcp::TcpConfig& cfg);
 
   struct Entry {
     const char* name = nullptr;  // canonical lowercase CLI/CSV name
@@ -44,10 +35,6 @@ class SenderFactory {
     // factory is the one place that knows this pairing — RR's headline
     // deployment property is that it does NOT need them).
     bool sack_receiver = false;
-    // Arena vtable: concrete type footprint + placement constructor.
-    std::size_t size = 0;
-    std::size_t align = 0;
-    PlacementMaker construct = nullptr;
   };
 
   // The process-wide registry, pre-populated with the paper's five
@@ -61,16 +48,6 @@ class SenderFactory {
   std::unique_ptr<tcp::TcpSenderBase> make(Variant v, env::Environment& env,
                                            net::FlowId flow,
                                            const tcp::TcpConfig& cfg) const;
-
-  // Placement-constructs a sender of variant `v` into `mem`, which must be
-  // at least at(v).size bytes aligned to at(v).align. The caller owns the
-  // storage and must invoke the (virtual) destructor itself — this is the
-  // pdes::FlowArena construction path.
-  tcp::TcpSenderBase* make_in(void* mem, Variant v, env::Environment& env,
-                              net::FlowId flow,
-                              const tcp::TcpConfig& cfg) const {
-    return at(v).construct(mem, env, flow, cfg);
-  }
 
   const char* name_of(Variant v) const { return at(v).name; }
   // One line per registered variant (canonical name + receiver pairing):

@@ -92,7 +92,7 @@ int replay_chaos_seed(std::uint64_t plan_seed,
     std::vector<chaos::WatchdogReport> reports;
     std::vector<audit::Violation> violations;
     const harness::ChaosRunOutcome out = harness::run_chaos_schedule(
-        plan, plan_seed, cfg, &reports, &violations);
+        plan, plan_seed, harness::chaos_spec(cfg), &reports, &violations);
     std::printf(
         "  %-8s %s: complete=%d alive=%d dead=%d timeouts=%" PRIu64
         " rtx=%" PRIu64 " drops=%" PRIu64 " violations=%" PRIu64

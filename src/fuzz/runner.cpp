@@ -109,13 +109,12 @@ SingleRun single_run(const CaseSpec& cs, bool timer_wheel) {
 }
 
 // One leg of the shard-equivalence oracle: build the case's materialized
-// spec (no fault injectors — they interpose on a concrete Scenario graph,
-// which the sharded engine does not share) on pdes::ShardedScenario with
-// `shards` shards and return every flow's trace digest. Per-flow rather
-// than one shared digest: the sharded engine pins each flow's trace, not
-// the global interleave of flows that never exchange a packet. Audit and
-// watchdog are off on BOTH legs so the two specs match exactly (sharded
-// mode would force them off anyway).
+// spec (no fault injectors — only fuzz::build_case's single-engine path
+// interposes them) on pdes::ShardedScenario with `shards` shards and return every flow's trace digest. Per-flow
+// rather than one shared digest: the sharded engine pins each flow's
+// trace, not the global interleave of flows that never exchange a packet.
+// Audit and watchdog are off on BOTH legs so the two specs match exactly
+// (a partitioned spec asking for them is rejected).
 struct ShardRun {
   bool built = false;
   std::string error;  // abort/build failure when !built

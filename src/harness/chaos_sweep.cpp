@@ -6,82 +6,64 @@
 #include <string>
 #include <utility>
 
-#include "app/ftp.hpp"
-#include "harness/instrumentation.hpp"
-#include "net/drop_tail.hpp"
 #include "net/dumbbell.hpp"
 #include "sim/assert.hpp"
-#include "sim/simulator.hpp"
 
 namespace rrtcp::harness {
 
+ScenarioSpec chaos_spec(const ChaosRunConfig& cfg) {
+  RRTCP_ASSERT(cfg.n_flows >= 1);
+  ScenarioSpec spec;
+  spec.name = "chaos";
+  spec.bottleneck = QueueSpec::drop_tail(cfg.buffer_packets);
+  spec.horizon = cfg.horizon;
+  spec.add_flows(cfg.n_flows,
+                 {.variant = cfg.variant,
+                  .bytes = cfg.bytes_per_flow,
+                  .tcp = cfg.tcp},
+                 cfg.start_stagger);
+  // kRecord audit mode: the soak inspects counts in every build
+  // configuration. No per-flow tracers — the soak grades outcomes, not
+  // throughput curves.
+  spec.instruments.tracers = false;
+  spec.instruments.audit = AuditMode::kRecord;
+  spec.instruments.watchdog = true;
+  spec.instruments.watchdog_config = cfg.watchdog;
+  return spec;
+}
+
 ChaosRunOutcome run_chaos_schedule(const chaos::FaultPlan& plan,
-                                   std::uint64_t seed,
-                                   const ChaosRunConfig& cfg,
+                                   std::uint64_t seed, ScenarioSpec spec,
                                    std::vector<chaos::WatchdogReport>* reports,
                                    std::vector<audit::Violation>* violations) {
-  RRTCP_ASSERT(cfg.n_flows >= 1);
-  sim::Simulator sim;
-
-  net::DumbbellConfig netcfg;
-  netcfg.n_flows = cfg.n_flows;
-  netcfg.make_bottleneck_queue = [&cfg] {
-    return std::make_unique<net::DropTailQueue>(cfg.buffer_packets);
-  };
-  net::DumbbellTopology topo{sim, netcfg};
+  SpecError err;
+  const std::unique_ptr<Scenario> sc =
+      Scenario::try_build(std::move(spec), &err);
+  RRTCP_ASSERT_MSG(sc != nullptr, err.detail.c_str());
+  net::DumbbellTopology& topo = sc->topology();
 
   // Interpose one injector per direction; each applies its path's subset
   // of the plan. Both draw from the same plan seed via distinct stream
   // names, so the pair replays from the single printed number.
-  chaos::FaultInjector fwd_injector{sim, topo.bottleneck(),
+  chaos::FaultInjector fwd_injector{sc->sim(), topo.bottleneck(),
                                     plan.subset(chaos::FaultPath::kData), seed,
                                     "chaos-fwd"};
-  chaos::FaultInjector rev_injector{sim, topo.reverse_bottleneck(),
+  chaos::FaultInjector rev_injector{sc->sim(), topo.reverse_bottleneck(),
                                     plan.subset(chaos::FaultPath::kAck), seed,
                                     "chaos-rev"};
   chaos::interpose(topo.r1(), topo.bottleneck(), fwd_injector);
   chaos::interpose(topo.r2(), topo.reverse_bottleneck(), rev_injector);
 
-  std::vector<app::Flow> flows;
-  flows.reserve(static_cast<std::size_t>(cfg.n_flows));
-  for (int i = 0; i < cfg.n_flows; ++i) {
-    const auto id = static_cast<net::FlowId>(i + 1);
-    flows.push_back(cfg.flow_maker
-                        ? cfg.flow_maker(sim, topo.sender_node(i),
-                                         topo.receiver_node(i), id, cfg.tcp)
-                        : app::make_flow(cfg.variant, sim, topo.sender_node(i),
-                                         topo.receiver_node(i), id, cfg.tcp));
-  }
+  audit::AuditSession* audit = sc->instrumentation().recording_session();
+  chaos::LivenessWatchdog* watchdog = sc->instrumentation().watchdog();
+  RRTCP_ASSERT_MSG(audit != nullptr && watchdog != nullptr,
+                   "chaos runs need record-mode audit and the watchdog");
 
-  std::vector<app::FtpSource> sources;
-  sources.reserve(flows.size());
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    sources.emplace_back(sim, *flows[i].sender,
-                         cfg.start_stagger * static_cast<std::int64_t>(i),
-                         cfg.bytes_per_flow);
-  }
-
-  // Audit + watchdog attach AFTER the flows so they detach first on the
-  // way out (observer lifetime, same pattern as the scenario runner).
-  // kRecord audit mode: the soak inspects counts in every build
-  // configuration. No per-flow tracers — the soak grades outcomes, not
-  // throughput curves.
-  InstrumentationOptions iopts;
-  iopts.tracers = false;
-  iopts.audit = AuditMode::kRecord;
-  iopts.watchdog = true;
-  iopts.watchdog_config = cfg.watchdog;
-  Instrumentation inst{sim, iopts};
-  inst.attach_topology(topo);
-  for (app::Flow& f : flows) inst.attach(f);
-  audit::AuditSession& audit = *inst.recording_session();
-  chaos::LivenessWatchdog& watchdog = *inst.watchdog();
-
-  sim.run_until(cfg.horizon);
+  sc->run();
 
   ChaosRunOutcome out;
-  for (app::Flow& f : flows) {
-    const tcp::TcpSenderBase& s = *f.sender;
+  for (int i = 0; i < sc->n_flows(); ++i) {
+    const tcp::TcpSenderBase& s = sc->sender(i);
     if (s.complete()) {
       ++out.flows_complete;
       out.last_completion = std::max(out.last_completion, s.completion_time());
@@ -96,13 +78,13 @@ ChaosRunOutcome run_chaos_schedule(const chaos::FaultPlan& plan,
   out.fault_drops = fwd_injector.dropped() + rev_injector.dropped();
   out.fault_duplicates = fwd_injector.duplicated() + rev_injector.duplicated();
   out.fault_delays = fwd_injector.delayed() + rev_injector.delayed();
-  out.audit_violations = audit.total_violations();
-  out.watchdog_reports = watchdog.reports().size();
+  out.audit_violations = audit->total_violations();
+  out.watchdog_reports = watchdog->reports().size();
   out.graceful = out.flows_dead == 0 && out.audit_violations == 0 &&
                  out.watchdog_reports == 0;
 
-  if (reports != nullptr) *reports = watchdog.reports();
-  if (violations != nullptr) *violations = audit.violations();
+  if (reports != nullptr) *reports = watchdog->reports();
+  if (violations != nullptr) *violations = audit->violations();
   return out;
 }
 
@@ -128,7 +110,8 @@ std::vector<SweepJob> make_chaos_jobs(const ChaosSoakOptions& opts,
             chaos::make_random_plan(plan_seed, opts.bounds);
         ChaosRunConfig cfg = opts.base;
         cfg.variant = v;
-        const ChaosRunOutcome out = run_chaos_schedule(plan, plan_seed, cfg);
+        const ChaosRunOutcome out =
+            run_chaos_schedule(plan, plan_seed, chaos_spec(cfg));
         Record row;
         row.set("schedule", sched);
         row.set("variant", app::to_string(v));

@@ -19,13 +19,13 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "app/flow_factory.hpp"
+#include "app/variant.hpp"
 #include "audit/invariant_auditor.hpp"
 #include "chaos/fault.hpp"
 #include "chaos/watchdog.hpp"
+#include "harness/scenario.hpp"
 #include "harness/sweep.hpp"
 #include "tcp/types.hpp"
 
@@ -42,11 +42,6 @@ struct ChaosRunConfig {
   std::uint64_t buffer_packets = 8;  // Table 3 bottleneck buffer
   tcp::TcpConfig tcp;
   chaos::WatchdogConfig watchdog;
-  // Test hook: replaces app::make_flow for every flow, letting tests drive
-  // intentionally broken senders through the identical harness path.
-  std::function<app::Flow(sim::Simulator&, net::Node& snd, net::Node& rcv,
-                          net::FlowId, const tcp::TcpConfig&)>
-      flow_maker;
 };
 
 struct ChaosRunOutcome {
@@ -65,12 +60,19 @@ struct ChaosRunOutcome {
   bool graceful = false;
 };
 
-// Builds one simulation under `plan` and runs it to cfg.horizon. `seed`
-// feeds the injectors' per-spec streams (use the plan's own seed so the
-// whole row replays from one number). Optional outputs receive the
+// The ScenarioSpec of one chaos run: the ChaosRunConfig dumbbell with
+// record-mode audit and the watchdog armed, no tracers. Tests may set its
+// flow_maker to push intentionally broken senders through the identical
+// path.
+ScenarioSpec chaos_spec(const ChaosRunConfig& cfg);
+
+// Builds `spec` (a chaos_spec, possibly with a flow_maker), interposes the
+// plan's fault injectors on both bottlenecks and runs to spec.horizon.
+// `seed` feeds the injectors' per-spec streams (use the plan's own seed so
+// the whole row replays from one number). Optional outputs receive the
 // watchdog reports / audit violations for inspection.
 ChaosRunOutcome run_chaos_schedule(
-    const chaos::FaultPlan& plan, std::uint64_t seed, const ChaosRunConfig& cfg,
+    const chaos::FaultPlan& plan, std::uint64_t seed, ScenarioSpec spec,
     std::vector<chaos::WatchdogReport>* reports = nullptr,
     std::vector<audit::Violation>* violations = nullptr);
 

@@ -1,5 +1,6 @@
 #include "harness/scenario.hpp"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
@@ -76,6 +77,8 @@ const char* to_string(SpecError::Code c) {
       return "unroutable";
     case SpecError::Code::kBadCbr:
       return "bad-cbr";
+    case SpecError::Code::kShardUnsupported:
+      return "shard-unsupported";
   }
   return "?";
 }
@@ -188,129 +191,61 @@ std::unique_ptr<Scenario> Scenario::try_build(ScenarioSpec spec,
   return std::make_unique<Scenario>(std::move(spec));
 }
 
-Scenario::Scenario(ScenarioSpec spec) : spec_{std::move(spec)} {
+Scenario::Scenario(ScenarioSpec spec, std::vector<int> node_engine)
+    : spec_{std::move(spec)} {
   spec_.expand_flow_sets();
   RRTCP_ASSERT_MSG(!spec_.flows.empty(), "scenario needs at least one flow");
 
   // Engine-tier selection must precede every schedule (the hook asserts
   // the wheel is empty); the fuzzer's equivalence oracle builds the same
   // spec with the wheel off and expects byte-identical traces.
-  if (!spec_.timer_wheel) sim_.set_timer_wheel_enabled(false);
+  const int n_engines =
+      node_engine.empty()
+          ? 1
+          : *std::max_element(node_engine.begin(), node_engine.end()) + 1;
+  for (int e = 0; e < n_engines; ++e) {
+    engines_.push_back(std::make_unique<sim::Simulator>());
+    if (!spec_.timer_wheel) engines_.back()->set_timer_wheel_enabled(false);
+  }
+  RRTCP_ASSERT_MSG(n_engines == 1 || (!spec_.flow_maker &&
+                                      spec_.instruments.audit ==
+                                          AuditMode::kNone &&
+                                      !spec_.instruments.watchdog),
+                   "flow_maker, audit and watchdog need a single engine");
 
   if (spec_.graph.empty()) {
+    RRTCP_ASSERT_MSG(node_engine.empty(), "dumbbell mode runs on one engine");
     build_dumbbell();
   } else {
-    build_graph();
-  }
-
-  // Traffic sources (FTP or ON/OFF), one per flow. ON/OFF sources derive
-  // their RNG stream from the scenario seed and the flow index, so adding
-  // or reordering other stochastic components never perturbs them.
-  sources_.reserve(spec_.flows.size());
-  onoffs_.reserve(spec_.flows.size());
-  for (std::size_t i = 0; i < spec_.flows.size(); ++i) {
-    const FlowSpec& fs = spec_.flows[i];
-    if (fs.onoff) {
-      traffic::OnOffConfig oc = *fs.onoff;
-      oc.start = fs.start;
-      sources_.push_back(nullptr);
-      onoffs_.push_back(std::make_unique<traffic::OnOffSource>(
-          sim_, *flows_[i].sender, oc, spec_.seed,
-          "onoff/" + std::to_string(i)));
-    } else {
-      sources_.push_back(std::make_unique<app::FtpSource>(
-          sim_, *flows_[i].sender, fs.start, fs.bytes));
-      onoffs_.push_back(nullptr);
+    std::vector<sim::Simulator*> node_sim(spec_.graph.nodes.size(), &sim());
+    if (!node_engine.empty()) {
+      RRTCP_ASSERT_MSG(node_engine.size() == node_sim.size(),
+                       "one engine index per graph node");
+      for (std::size_t v = 0; v < node_sim.size(); ++v)
+        node_sim[v] = &engine(node_engine[v]);
     }
+    graph_ = std::make_unique<topo::TopologyGraph>(std::move(node_sim),
+                                                   spec_.graph);
   }
 
-  instrumentation_ = std::make_unique<Instrumentation>(sim_, spec_.instruments);
-  for (app::Flow& f : flows_) instrumentation_->attach(f);
-  if (topo_) {
-    instrumentation_->attach_topology(*topo_);
-  } else {
-    instrumentation_->attach_queues(*graph_, spec_.audited_links);
-  }
-}
-
-void Scenario::build_dumbbell() {
-  // CBR streams ride extra host pairs appended after the TCP flows', so
-  // a spec without cross-traffic builds the exact seed topology.
-  const int n_tcp = static_cast<int>(spec_.flows.size());
-  const int n_cbr = static_cast<int>(spec_.cross_traffic.size());
-
-  net::DumbbellConfig netcfg = spec_.topology;
-  netcfg.n_flows = n_tcp + n_cbr;
-  netcfg.make_bottleneck_queue =
-      make_queue_factory(spec_.bottleneck, sim_, spec_.seed, &red_);
-  if (spec_.reverse_bottleneck) {
-    // A distinct derived seed keeps a reverse RED queue's drop RNG
-    // independent of the forward one's.
-    netcfg.make_reverse_queue =
-        make_queue_factory(*spec_.reverse_bottleneck, sim_,
-                           derive_seed(spec_.seed, 1), &reverse_red_);
-  }
-  topo_ = std::make_unique<net::DumbbellTopology>(sim_, netcfg);
-
-  flows_.reserve(spec_.flows.size());
-  for (int i = 0; i < n_tcp; ++i) {
-    const FlowSpec& fs = spec_.flows[static_cast<std::size_t>(i)];
-    net::Node& snd = fs.reverse ? topo_->receiver_node(i)
-                                : topo_->sender_node(i);
-    net::Node& rcv = fs.reverse ? topo_->sender_node(i)
-                                : topo_->receiver_node(i);
-    const auto id = static_cast<net::FlowId>(i + 1);
-    flows_.push_back(spec_.flow_maker
-                         ? spec_.flow_maker(sim_, snd, rcv, id, fs)
-                         : app::make_flow(fs.variant, sim_, snd, rcv, id,
-                                          fs.tcp));
-  }
-
-  const std::int64_t rev_bps = netcfg.reverse_bps > 0
-                                   ? netcfg.reverse_bps
-                                   : netcfg.bottleneck_bps;
-  for (int j = 0; j < n_cbr; ++j) {
-    const CbrSpec& cs = spec_.cross_traffic[static_cast<std::size_t>(j)];
-    const int pair = n_tcp + j;
-    net::Node& src = cs.reverse ? topo_->receiver_node(pair)
-                                : topo_->sender_node(pair);
-    net::Node& dst = cs.reverse ? topo_->sender_node(pair)
-                                : topo_->receiver_node(pair);
-    traffic::CbrConfig cc;
-    cc.rate_bps = cs.load_fraction > 0
-                      ? static_cast<std::int64_t>(
-                            cs.load_fraction *
-                            static_cast<double>(cs.reverse
-                                                    ? rev_bps
-                                                    : netcfg.bottleneck_bps))
-                      : cs.rate_bps;
-    cc.packet_bytes = cs.packet_bytes;
-    cc.start = cs.start;
-    cc.stop = cs.stop;
-    const auto flow_id = static_cast<net::FlowId>(n_tcp + j + 1);
-    cbr_sinks_.push_back(std::make_unique<traffic::CbrSink>(dst, flow_id));
-    cbr_sources_.push_back(std::make_unique<traffic::CbrSource>(
-        sim_, src, flow_id, dst.id(), cc));
-  }
-}
-
-void Scenario::build_graph() {
-  // The GraphSpec carries its own per-link queue factories, so
-  // spec_.bottleneck / spec_.reverse_bottleneck do not apply here.
-  graph_ = std::make_unique<topo::TopologyGraph>(sim_, spec_.graph);
-
+  // Every endpoint is a graph node index from here on, and every object
+  // lives on the engine of the node it sits on. Flows first, then CBR,
+  // then the FTP/ON-OFF sources: CBR and the sources schedule their start
+  // on construction, and that order is pinned by the golden traces.
+  topo::TopologyGraph& g = graph();
   flows_.reserve(spec_.flows.size());
   for (std::size_t i = 0; i < spec_.flows.size(); ++i) {
     const FlowSpec& fs = spec_.flows[i];
     RRTCP_ASSERT_MSG(fs.src_node >= 0 && fs.dst_node >= 0,
                      "graph-mode flows need src_node/dst_node");
+    net::Node& snd = g.node(fs.src_node);
+    net::Node& rcv = g.node(fs.dst_node);
     const auto id = static_cast<net::FlowId>(i + 1);
     flows_.push_back(
         spec_.flow_maker
-            ? spec_.flow_maker(sim_, graph_->node(fs.src_node),
-                               graph_->node(fs.dst_node), id, fs)
-            : app::make_flow(fs.variant, sim_, graph_->node(fs.src_node),
-                             graph_->node(fs.dst_node), id, fs.tcp));
+            ? spec_.flow_maker(g.sim_of(fs.src_node), snd, rcv, id, fs)
+            : app::make_flow(fs.variant, g.sim_of(fs.src_node), snd,
+                             g.sim_of(fs.dst_node), rcv, id, fs.tcp));
   }
 
   for (std::size_t j = 0; j < spec_.cross_traffic.size(); ++j) {
@@ -326,11 +261,91 @@ void Scenario::build_graph() {
     cc.stop = cs.stop;
     const auto flow_id =
         static_cast<net::FlowId>(spec_.flows.size() + j + 1);
-    cbr_sinks_.push_back(std::make_unique<traffic::CbrSink>(
-        graph_->node(cs.dst_node), flow_id));
+    net::Node& dst = g.node(cs.dst_node);
+    cbr_sinks_.push_back(std::make_unique<traffic::CbrSink>(dst, flow_id));
     cbr_sources_.push_back(std::make_unique<traffic::CbrSource>(
-        sim_, graph_->node(cs.src_node), flow_id,
-        graph_->node(cs.dst_node).id(), cc));
+        g.sim_of(cs.src_node), g.node(cs.src_node), flow_id, dst.id(), cc));
+  }
+
+  // ON/OFF sources derive their RNG stream from the scenario seed and the
+  // flow index, so adding or reordering other stochastic components never
+  // perturbs them.
+  sources_.reserve(spec_.flows.size());
+  onoffs_.reserve(spec_.flows.size());
+  for (std::size_t i = 0; i < spec_.flows.size(); ++i) {
+    const FlowSpec& fs = spec_.flows[i];
+    sim::Simulator& at = g.sim_of(fs.src_node);
+    if (fs.onoff) {
+      traffic::OnOffConfig oc = *fs.onoff;
+      oc.start = fs.start;
+      sources_.push_back(nullptr);
+      onoffs_.push_back(std::make_unique<traffic::OnOffSource>(
+          at, *flows_[i].sender, oc, spec_.seed,
+          "onoff/" + std::to_string(i)));
+    } else {
+      sources_.push_back(std::make_unique<app::FtpSource>(
+          at, *flows_[i].sender, fs.start, fs.bytes));
+      onoffs_.push_back(nullptr);
+    }
+  }
+
+  // Tracers are plain sender observers, so they work on any engine; the
+  // assert above keeps engine-bound audit/watchdog to one simulator.
+  instrumentation_ =
+      std::make_unique<Instrumentation>(sim(), spec_.instruments);
+  for (app::Flow& f : flows_) instrumentation_->attach(f);
+  if (topo_) {
+    instrumentation_->attach_topology(*topo_);
+  } else {
+    instrumentation_->attach_queues(*graph_, spec_.audited_links);
+  }
+}
+
+std::uint64_t Scenario::run_until(sim::Time deadline) {
+  RRTCP_ASSERT_MSG(engines_.size() == 1,
+                   "a partitioned scenario runs on pdes::ShardedScenario");
+  return sim().run_until(deadline);
+}
+
+void Scenario::build_dumbbell() {
+  // CBR streams ride extra host pairs appended after the TCP flows', so
+  // a spec without cross-traffic builds the exact seed topology.
+  const int n_tcp = static_cast<int>(spec_.flows.size());
+  const int n_cbr = static_cast<int>(spec_.cross_traffic.size());
+
+  net::DumbbellConfig netcfg = spec_.topology;
+  netcfg.n_flows = n_tcp + n_cbr;
+  netcfg.make_bottleneck_queue =
+      make_queue_factory(spec_.bottleneck, sim(), spec_.seed, &red_);
+  if (spec_.reverse_bottleneck) {
+    // A distinct derived seed keeps a reverse RED queue's drop RNG
+    // independent of the forward one's.
+    netcfg.make_reverse_queue =
+        make_queue_factory(*spec_.reverse_bottleneck, sim(),
+                           derive_seed(spec_.seed, 1), &reverse_red_);
+  }
+  topo_ = std::make_unique<net::DumbbellTopology>(sim(), netcfg);
+
+  // Place each flow and CBR stream on its host pair: S_i -> K_i, or
+  // K_i -> S_i when it rides the reverse path.
+  auto place = [this](bool reverse, int pair, int* src, int* dst) {
+    *src = reverse ? topo_->receiver_index(pair) : topo_->sender_index(pair);
+    *dst = reverse ? topo_->sender_index(pair) : topo_->receiver_index(pair);
+  };
+  for (int i = 0; i < n_tcp; ++i) {
+    FlowSpec& fs = spec_.flows[static_cast<std::size_t>(i)];
+    place(fs.reverse, i, &fs.src_node, &fs.dst_node);
+  }
+  const std::int64_t rev_bps = netcfg.reverse_bps > 0
+                                   ? netcfg.reverse_bps
+                                   : netcfg.bottleneck_bps;
+  for (int j = 0; j < n_cbr; ++j) {
+    CbrSpec& cs = spec_.cross_traffic[static_cast<std::size_t>(j)];
+    place(cs.reverse, n_tcp + j, &cs.src_node, &cs.dst_node);
+    if (cs.load_fraction > 0)
+      cs.rate_bps = static_cast<std::int64_t>(
+          cs.load_fraction *
+          static_cast<double>(cs.reverse ? rev_bps : netcfg.bottleneck_bps));
   }
 }
 

@@ -20,7 +20,9 @@
 //
 // Two topology modes:
 //   Dumbbell (default, spec.graph empty) — the paper's Figure 4 around
-//   spec.topology; flows are placed on consecutive host pairs. The reverse
+//   spec.topology; flows are placed on consecutive host pairs (Scenario
+//   writes those node indices into its spec's src_node/dst_node, so the
+//   rest of the build is the graph path). The reverse
 //   bottleneck is first-class: spec.reverse_bottleneck picks its queue, and
 //   FlowSpec.reverse / CbrSpec.reverse place load on the ACK path.
 //   Graph (spec.graph non-empty) — any topo::GraphSpec (parking lot, N x M
@@ -29,9 +31,15 @@
 //   watches. Queue disciplines ride inside the GraphSpec's per-link
 //   factories, so spec.bottleneck is ignored in this mode.
 //
+// Engines: a Scenario runs on one simulator unless it is given a per-node
+// engine assignment (pdes::ShardedScenario passes its partition's
+// node->shard map). Every node, link, queue, flow endpoint, source and CBR
+// stream is then built on the engine of the node it sits on; this is the
+// only code that builds a simulated world, whichever engine runs it.
+//
 // Member order in Scenario is its teardown contract: instrumentation
 // detaches first, then traffic sources stop, then flows die, then the
-// topology, then the simulator.
+// topology, then the simulators.
 #pragma once
 
 #include <cstdint>
@@ -146,6 +154,9 @@ struct SpecError {
     kBadEndpoint,   // flow src/dst missing or outside the node set
     kUnroutable,    // no path between a flow's endpoints (either direction)
     kBadCbr,        // cross-traffic endpoints/rate/packet size invalid
+    // A spec that partitions asks for what only one engine supports
+    // (pdes::ShardedScenario::validate).
+    kShardUnsupported,
   };
   Code code;
   std::string detail;
@@ -184,18 +195,18 @@ struct ScenarioSpec {
   // Engine shards for the pdes::ShardedScenario runner (graph mode only;
   // requires every cut to have positive delay — see topo/partition.hpp).
   // The plain Scenario runner ignores it: 1 means "today's single engine",
-  // and pdes delegates to exactly that path, byte-identically. CLI front
-  // ends (--shards) accept 1..kMaxShardCount; the partitioner clamps to
-  // the number of subgraphs the topology actually yields.
+  // which is also what pdes builds when the graph does not partition. CLI
+  // front ends (--shards) accept 1..kMaxShardCount; the partitioner clamps
+  // to the number of subgraphs the topology actually yields.
   int shard_count = 1;
   // Seeds randomized components (RED drop RNG, ON/OFF sources); pass the
   // sweep's derived per-job seed here.
   std::uint64_t seed = 1;
   sim::Time horizon = sim::Time::seconds(60);
-  // Test/fuzz hook: when set, builds flow i in place of app::make_flow —
-  // the scenario-level twin of ChaosRunConfig::flow_maker, letting
-  // campaigns drive intentionally broken senders through the standard
-  // build path (mutant self-tests of the fuzz oracles).
+  // Test/fuzz hook: when set, builds flow i in place of app::make_flow,
+  // letting campaigns and the chaos soak drive intentionally broken
+  // senders through the standard build path (mutant self-tests of the
+  // fuzz oracles). Single-engine only.
   std::function<app::Flow(sim::Simulator&, net::Node& snd, net::Node& rcv,
                           net::FlowId id, const FlowSpec& fs)>
       flow_maker;
@@ -251,7 +262,11 @@ struct ScenarioSpec {
 
 class Scenario {
  public:
-  explicit Scenario(ScenarioSpec spec);
+  // `node_engine`, when non-empty, assigns each graph node an engine index
+  // (engines 0..max are created); empty runs everything on one engine.
+  // Several engines require graph mode, no flow_maker, no audit and no
+  // watchdog: those observe a flow from one simulator.
+  explicit Scenario(ScenarioSpec spec, std::vector<int> node_engine = {});
 
   // Structural validation of a spec WITHOUT building anything: empty flow
   // set, non-positive rates, out-of-range link/flow/CBR endpoints,
@@ -267,7 +282,12 @@ class Scenario {
   static std::unique_ptr<Scenario> try_build(ScenarioSpec spec,
                                              SpecError* err = nullptr);
 
-  sim::Simulator& sim() { return sim_; }
+  // Engine 0 — the only one unless a node_engine map was given.
+  sim::Simulator& sim() { return *engines_.front(); }
+  int n_engines() const { return static_cast<int>(engines_.size()); }
+  sim::Simulator& engine(int e) {
+    return *engines_.at(static_cast<std::size_t>(e));
+  }
   // Dumbbell mode only.
   net::DumbbellTopology& topology() { return *topo_; }
   // The underlying graph, in either mode.
@@ -307,20 +327,21 @@ class Scenario {
   net::RedQueue* reverse_red() { return reverse_red_; }
 
   // Runs to the spec's horizon (or an explicit deadline); returns events
-  // executed.
-  std::uint64_t run() { return sim_.run_until(spec_.horizon); }
-  std::uint64_t run_until(sim::Time deadline) {
-    return sim_.run_until(deadline);
-  }
+  // executed. Single-engine only: pdes::ShardedScenario runs the engines
+  // of a partitioned scenario.
+  std::uint64_t run() { return run_until(spec_.horizon); }
+  std::uint64_t run_until(sim::Time deadline);
 
+  // The spec as built: flow sets expanded and, in dumbbell mode, every
+  // flow and CBR stream placed on its host pair's node indices (CBR load
+  // fractions resolved to rate_bps).
   const ScenarioSpec& spec() const { return spec_; }
 
  private:
   void build_dumbbell();
-  void build_graph();
 
   ScenarioSpec spec_;
-  sim::Simulator sim_;
+  std::vector<std::unique_ptr<sim::Simulator>> engines_;
   std::unique_ptr<net::DumbbellTopology> topo_;   // dumbbell mode
   std::unique_ptr<topo::TopologyGraph> graph_;    // graph mode
   net::RedQueue* red_ = nullptr;

@@ -4,207 +4,91 @@
 #include <string>
 #include <utility>
 
-#include "app/sender_factory.hpp"
-#include "net/drop_tail.hpp"
 #include "sim/assert.hpp"
 
 namespace rrtcp::pdes {
 
-ShardedScenario::ShardedScenario(harness::ScenarioSpec spec)
-    : spec_{std::move(spec)} {
-  spec_.expand_flow_sets();
+namespace {
 
-  // Dumbbell mode, an explicit single shard, or a graph the partitioner
-  // cannot split (all nodes reachable over zero-delay links) all run the
-  // plain engine: shards=1 is not a special case of the PDES loop, it IS
-  // the existing Scenario — byte-identical to every pinned trace.
-  const bool want_pdes = spec_.shard_count > 1 && !spec_.graph.empty();
-  if (want_pdes)
-    part_ = topo::partition_graph(spec_.graph, spec_.shard_count);
-  if (!want_pdes || part_.n_shards <= 1) {
-    single_ = std::make_unique<harness::Scenario>(std::move(spec_));
-    // Keep the stored spec readable through spec() even after delegating.
-    spec_ = single_->spec();
+// The partition a spec runs on: the trivial one-shard partition unless it
+// asks for shards in graph mode.
+topo::Partition partition_for(const harness::ScenarioSpec& spec) {
+  if (spec.shard_count <= 1 || spec.graph.empty()) return {};
+  return topo::partition_graph(spec.graph, spec.shard_count);
+}
+
+// What a partitioned spec asks for that needs one engine, or nullptr.
+const char* single_engine_need(const harness::ScenarioSpec& spec) {
+  if (spec.flow_maker) return "flow_maker";
+  if (spec.instruments.audit == harness::AuditMode::kRecord)
+    return "record-mode audit";
+  if (spec.instruments.watchdog) return "watchdog";
+  return nullptr;
+}
+
+}  // namespace
+
+ShardedScenario::ShardedScenario(harness::ScenarioSpec spec)
+    : part_{partition_for(spec)} {
+  const int n = part_.n_shards;
+  executed_.resize(static_cast<std::size_t>(n));
+  if (n <= 1) {
+    // Dumbbell mode, an explicit single shard, or a graph the partitioner
+    // cannot split (all nodes joined by zero-delay links): one engine.
+    scenario_ = std::make_unique<harness::Scenario>(std::move(spec));
     return;
   }
 
-  RRTCP_ASSERT_MSG(!spec_.flow_maker,
-                   "flow_maker hooks are not supported in sharded mode");
-  table_ = topo::compute_route_table(spec_.graph);
-  build_shards();
-  build_flows();
+  // Backstop for specs that skipped validate().
+  RRTCP_ASSERT_MSG(single_engine_need(spec) == nullptr,
+                   "flow_maker, record-mode audit and watchdog are not "
+                   "supported in sharded mode");
+  spec.instruments.audit = harness::AuditMode::kNone;  // build-gated: off
+  scenario_ =
+      std::make_unique<harness::Scenario>(std::move(spec), part_.node_shard);
+
+  // A cut link (head on another shard) delivers into its Channel instead
+  // of its head node.
+  topo::TopologyGraph& g = scenario_->graph();
+  for (const int li : part_.cut_links) {
+    const int head = g.spec().links[static_cast<std::size_t>(li)].to;
+    channels_.push_back(std::make_unique<Channel>(li));
+    g.link(li).set_remote_sink(channels_.back().get());
+    channel_dst_.push_back(&g.node(head));
+    channel_dst_shard_.push_back(
+        part_.node_shard[static_cast<std::size_t>(head)]);
+  }
+  merge_scratch_.resize(static_cast<std::size_t>(n));
   start_workers();
 }
 
-ShardedScenario::~ShardedScenario() {
-  stop_workers();
-  // Tracers detach before the senders they observe die with the arena.
-  for (auto& fi : instruments_) {
-    if (fi->sender == nullptr) continue;
-    if (fi->phases) fi->sender->remove_observer(fi->phases.get());
-    if (fi->seq) fi->sender->remove_observer(fi->seq.get());
-    if (fi->meter) fi->sender->remove_observer(fi->meter.get());
-  }
+ShardedScenario::~ShardedScenario() { stop_workers(); }
+
+std::optional<harness::SpecError> ShardedScenario::validate(
+    const harness::ScenarioSpec& spec) {
+  if (std::optional<harness::SpecError> e = harness::Scenario::validate(spec))
+    return e;
+  const int shards = partition_for(spec).n_shards;
+  const char* need = shards > 1 ? single_engine_need(spec) : nullptr;
+  if (need == nullptr) return std::nullopt;
+  return harness::SpecError{
+      harness::SpecError::Code::kShardUnsupported,
+      std::string{need} + " needs a single engine; this spec partitions into " +
+          std::to_string(shards) + " shards"};
 }
 
 std::unique_ptr<ShardedScenario> ShardedScenario::try_build(
     harness::ScenarioSpec spec, harness::SpecError* err) {
-  if (std::optional<harness::SpecError> e = harness::Scenario::validate(spec)) {
+  if (std::optional<harness::SpecError> e = validate(spec)) {
     if (err != nullptr) *err = std::move(*e);
     return nullptr;
   }
   return std::make_unique<ShardedScenario>(std::move(spec));
 }
 
-void ShardedScenario::build_shards() {
-  const topo::GraphSpec& g = spec_.graph;
-
-  shards_.reserve(static_cast<std::size_t>(part_.n_shards));
-  for (int s = 0; s < part_.n_shards; ++s) {
-    auto sh = std::make_unique<Shard>();
-    // Engine-tier selection must precede every schedule, as in Scenario.
-    if (!spec_.timer_wheel) sh->sim.set_timer_wheel_enabled(false);
-    shards_.push_back(std::move(sh));
-  }
-  merge_scratch_.resize(static_cast<std::size_t>(part_.n_shards));
-
-  // Nodes carry their GLOBAL ids — flow/route addressing is identical to
-  // the single-engine build; sharding only decides which simulator runs
-  // each node's events.
-  nodes_.reserve(g.nodes.size());
-  for (std::size_t i = 0; i < g.nodes.size(); ++i)
-    nodes_.push_back(std::make_unique<net::Node>(static_cast<net::NodeId>(i)));
-
-  // Links are owned by their tail's shard and scheduled on its simulator.
-  // A cut link (head on another shard) delivers into its Channel instead
-  // of a destination node.
-  links_.reserve(g.links.size());
-  for (std::size_t li = 0; li < g.links.size(); ++li) {
-    const topo::LinkSpec& ls = g.links[li];
-    Shard& owner = *shards_[static_cast<std::size_t>(part_.link_shard[li])];
-    net::LinkConfig lc{ls.bandwidth_bps, ls.delay, ls.name};
-    auto queue = ls.make_queue
-                     ? ls.make_queue(owner.sim)
-                     : std::make_unique<net::DropTailQueue>(ls.queue_packets);
-    auto link =
-        std::make_unique<net::Link>(owner.sim, std::move(lc), std::move(queue));
-    link->set_dst(nodes_[static_cast<std::size_t>(ls.to)].get());
-    links_.push_back(std::move(link));
-  }
-  for (const int li : part_.cut_links) {
-    const topo::LinkSpec& ls = g.links[static_cast<std::size_t>(li)];
-    auto ch = std::make_unique<Channel>(li);
-    links_[static_cast<std::size_t>(li)]->set_remote_sink(ch.get());
-    channels_.push_back(std::move(ch));
-    channel_dst_.push_back(nodes_[static_cast<std::size_t>(ls.to)].get());
-    channel_dst_shard_.push_back(
-        part_.node_shard[static_cast<std::size_t>(ls.to)]);
-  }
-
-  // Install the GLOBAL next-hop table. Every route entry at node v names a
-  // link leaving v, which v's shard owns — so each shard's forwarding is
-  // self-contained.
-  const int n = g.n_nodes();
-  for (int at = 0; at < n; ++at) {
-    for (int dst = 0; dst < n; ++dst) {
-      const int li = table_[static_cast<std::size_t>(at) *
-                                static_cast<std::size_t>(n) +
-                            static_cast<std::size_t>(dst)];
-      if (li >= 0)
-        nodes_[static_cast<std::size_t>(at)]->add_route(
-            static_cast<net::NodeId>(dst),
-            links_[static_cast<std::size_t>(li)].get());
-    }
-  }
-}
-
-void ShardedScenario::build_flows() {
-  const app::SenderFactory& factory = app::SenderFactory::instance();
-
-  flows_.reserve(spec_.flows.size());
-  instruments_.reserve(spec_.flows.size());
-  for (std::size_t i = 0; i < spec_.flows.size(); ++i) {
-    const harness::FlowSpec& fs = spec_.flows[i];
-    RRTCP_ASSERT_MSG(fs.src_node >= 0 && fs.dst_node >= 0,
-                     "graph-mode flows need src_node/dst_node");
-    const auto id = static_cast<net::FlowId>(i + 1);
-    net::Node& snd = *nodes_[static_cast<std::size_t>(fs.src_node)];
-    net::Node& rcv = *nodes_[static_cast<std::size_t>(fs.dst_node)];
-    Shard& snd_shard =
-        *shards_[static_cast<std::size_t>(
-            part_.node_shard[static_cast<std::size_t>(fs.src_node)])];
-    Shard& rcv_shard =
-        *shards_[static_cast<std::size_t>(
-            part_.node_shard[static_cast<std::size_t>(fs.dst_node)])];
-
-    ShardedFlow f;
-    // Endpoints live on their own shard's simulator; a flow whose data
-    // path crosses a cut simply has its two environments on different
-    // engines (the env seam from PR 9 is what makes this a local choice).
-    f.snd_env = arena_.create<env::SimEnvironment>(snd_shard.sim, snd,
-                                                   rcv.id());
-    f.rcv_env = arena_.create<env::SimEnvironment>(rcv_shard.sim, rcv,
-                                                   snd.id());
-    const app::SenderFactory::Entry& entry = factory.at(fs.variant);
-    void* mem = arena_.allocate(entry.size, entry.align);
-    f.sender = arena_.adopt(
-        factory.make_in(mem, fs.variant, *f.snd_env, id, fs.tcp));
-    f.receiver = arena_.create<tcp::TcpReceiver>(
-        *f.rcv_env, id, app::receiver_config_for(fs.variant, fs.tcp));
-
-    if (fs.onoff) {
-      traffic::OnOffConfig oc = *fs.onoff;
-      oc.start = fs.start;
-      f.onoff = arena_.create<traffic::OnOffSource>(
-          snd_shard.sim, *f.sender, oc, spec_.seed,
-          "onoff/" + std::to_string(i));
-    } else {
-      f.ftp = arena_.create<app::FtpSource>(snd_shard.sim, *f.sender,
-                                            fs.start, fs.bytes);
-    }
-    flows_.push_back(f);
-
-    // Tracer bundle (audit/watchdog are forced off in sharded mode — see
-    // the header). Observers are shard-local: they hang off the sender.
-    auto fi = std::make_unique<harness::FlowInstruments>();
-    fi->sender = f.sender;
-    if (spec_.instruments.tracers) {
-      fi->meter = std::make_unique<stats::ThroughputMeter>();
-      fi->seq = std::make_unique<stats::SeqTracer>(f.sender->config().mss);
-      fi->phases = std::make_unique<stats::PhaseTracer>();
-      f.sender->add_observer(fi->meter.get());
-      f.sender->add_observer(fi->seq.get());
-      f.sender->add_observer(fi->phases.get());
-    }
-    instruments_.push_back(std::move(fi));
-  }
-
-  for (std::size_t j = 0; j < spec_.cross_traffic.size(); ++j) {
-    const harness::CbrSpec& cs = spec_.cross_traffic[j];
-    RRTCP_ASSERT_MSG(cs.src_node >= 0 && cs.dst_node >= 0,
-                     "graph-mode CBR streams need src_node/dst_node");
-    RRTCP_ASSERT_MSG(cs.rate_bps > 0,
-                     "graph-mode CBR streams need an explicit rate_bps");
-    Shard& src_shard =
-        *shards_[static_cast<std::size_t>(
-            part_.node_shard[static_cast<std::size_t>(cs.src_node)])];
-    traffic::CbrConfig cc;
-    cc.rate_bps = cs.rate_bps;
-    cc.packet_bytes = cs.packet_bytes;
-    cc.start = cs.start;
-    cc.stop = cs.stop;
-    const auto flow_id = static_cast<net::FlowId>(spec_.flows.size() + j + 1);
-    net::Node& dst = *nodes_[static_cast<std::size_t>(cs.dst_node)];
-    cbr_sinks_.push_back(arena_.create<traffic::CbrSink>(dst, flow_id));
-    cbr_sources_.push_back(arena_.create<traffic::CbrSource>(
-        src_shard.sim, *nodes_[static_cast<std::size_t>(cs.src_node)],
-        flow_id, dst.id(), cc));
-  }
-}
-
 void ShardedScenario::start_workers() {
-  workers_.reserve(shards_.size());
-  for (int s = 0; s < static_cast<int>(shards_.size()); ++s)
+  workers_.reserve(static_cast<std::size_t>(n_shards()));
+  for (int s = 0; s < n_shards(); ++s)
     workers_.emplace_back([this, s] { worker_loop(s); });
 }
 
@@ -221,7 +105,7 @@ void ShardedScenario::stop_workers() {
 }
 
 void ShardedScenario::worker_loop(int shard) {
-  Shard& sh = *shards_[static_cast<std::size_t>(shard)];
+  sim::Simulator& sim = scenario_->engine(shard);
   std::uint64_t seen = 0;
   for (;;) {
     sim::Time deadline;
@@ -237,11 +121,11 @@ void ShardedScenario::worker_loop(int shard) {
     // The shard event loop proper — runs outside the lock; all
     // cross-shard effects land in Channel buffers read only after the
     // barrier below.
-    const std::uint64_t n = inclusive ? sh.sim.run_until(deadline)
-                                      : sh.sim.run_before(deadline);
+    const std::uint64_t n = inclusive ? sim.run_until(deadline)
+                                      : sim.run_before(deadline);
     {
       std::lock_guard<std::mutex> lk(mu_);
-      sh.executed += n;
+      executed_[static_cast<std::size_t>(shard)] += n;
       if (--workers_running_ == 0) cv_done_.notify_all();
     }
   }
@@ -289,7 +173,7 @@ std::size_t ShardedScenario::merge_channels(sim::Time count_upto) {
                 if (a.link != b.link) return a.link < b.link;
                 return a.seq < b.seq;
               });
-    sim::Simulator& sim = shards_[s]->sim;
+    sim::Simulator& sim = scenario_->engine(static_cast<int>(s));
     for (Pending& p : scratch) {
       const sim::Time at = sim::Time::picoseconds(p.arrival_ps);
       if (at <= count_upto) ++due;
@@ -304,11 +188,11 @@ std::size_t ShardedScenario::merge_channels(sim::Time count_upto) {
 }
 
 std::uint64_t ShardedScenario::run() {
-  if (single_) return single_->run();
+  if (n_shards() == 1) return executed_[0] += scenario_->run();
   RRTCP_ASSERT_MSG(!ran_, "ShardedScenario::run is single-shot");
   ran_ = true;
 
-  const sim::Time horizon = spec_.horizon;
+  const sim::Time horizon = spec().horizon;
   const sim::Time la = part_.lookahead;
   RRTCP_ASSERT(la > sim::Time::zero());
 
@@ -340,46 +224,8 @@ std::uint64_t ShardedScenario::cross_shard_packets() const {
 
 std::uint64_t ShardedScenario::events_executed() const {
   std::uint64_t n = 0;
-  for (const auto& sh : shards_) n += sh->executed;
+  for (const std::uint64_t e : executed_) n += e;
   return n;
-}
-
-int ShardedScenario::n_flows() const {
-  return single_ ? single_->n_flows() : static_cast<int>(flows_.size());
-}
-
-tcp::TcpSenderBase& ShardedScenario::sender(int i) {
-  return single_ ? single_->sender(i)
-                 : *flows_.at(static_cast<std::size_t>(i)).sender;
-}
-
-tcp::TcpReceiver& ShardedScenario::receiver(int i) {
-  return single_ ? *single_->flow(i).receiver
-                 : *flows_.at(static_cast<std::size_t>(i)).receiver;
-}
-
-app::FtpSource* ShardedScenario::source(int i) {
-  return single_ ? single_->source(i)
-                 : flows_.at(static_cast<std::size_t>(i)).ftp;
-}
-
-harness::FlowInstruments& ShardedScenario::instruments(int i) {
-  return single_ ? single_->instruments(i)
-                 : *instruments_.at(static_cast<std::size_t>(i));
-}
-
-int ShardedScenario::n_cbr() const {
-  return single_ ? single_->n_cbr() : static_cast<int>(cbr_sinks_.size());
-}
-
-traffic::CbrSink& ShardedScenario::cbr_sink(int i) {
-  return single_ ? single_->cbr_sink(i)
-                 : *cbr_sinks_.at(static_cast<std::size_t>(i));
-}
-
-net::Link& ShardedScenario::link(int i) {
-  return single_ ? single_->graph().link(i)
-                 : *links_.at(static_cast<std::size_t>(i));
 }
 
 }  // namespace rrtcp::pdes

@@ -30,17 +30,24 @@
 // which a shard cannot observe across the cut; symmetric topologies with
 // identical rates and delays can manufacture ties, see DESIGN.md §17 for
 // the exact condition and which presets are tie-safe by construction.)
-// With shard_count <= 1 (or a graph that does not partition)
-// ShardedScenario delegates to the plain harness::Scenario, byte-identical
-// to today's single-engine runs by construction.
+//
+// The world itself is built by harness::Scenario, the one builder: given
+// the partition's node->shard map it puts every node, link, queue, flow,
+// source and CBR stream on its shard's simulator. ShardedScenario only adds
+// the Channels on the cut links and runs the rounds. With shard_count <= 1
+// (or a graph that does not partition) that Scenario has one engine and
+// run() is its own run(), byte-identical to a single-engine run by
+// construction.
 //
 // Thread-safety model: there are no locks on the packet path. Channel
 // buffers are written only by the owning source shard DURING a round and
 // read only by the coordinator BETWEEN rounds; the round barrier (one
-// mutex + condvars) provides the happens-before edges. Audit and watchdog
-// are forced off in sharded mode (an AuditSession spans both endpoints of
-// a flow, which may live on different shards); per-flow tracers are plain
-// sender observers and stay shard-local.
+// mutex + condvars) provides the happens-before edges. An AuditSession and
+// the watchdog run on one simulator but watch both endpoints of a flow,
+// which may live on different shards: a partitioned spec asking for
+// AuditMode::kRecord or the watchdog is rejected (SpecError
+// kShardUnsupported), and the build-gated audit is off. Per-flow tracers
+// are plain sender observers and stay shard-local.
 #pragma once
 
 #include <condition_variable>
@@ -51,19 +58,12 @@
 #include <thread>
 #include <vector>
 
-#include "app/flow_factory.hpp"
-#include "app/ftp.hpp"
-#include "env/sim_env.hpp"
-#include "harness/instrumentation.hpp"
 #include "harness/scenario.hpp"
 #include "net/link.hpp"
 #include "net/node.hpp"
-#include "pdes/flow_arena.hpp"
 #include "sim/hot.hpp"
 #include "sim/simulator.hpp"
 #include "topo/partition.hpp"
-#include "traffic/cbr.hpp"
-#include "traffic/onoff.hpp"
 
 namespace rrtcp::pdes {
 
@@ -99,10 +99,10 @@ class Channel final : public net::RemoteSink {
   std::vector<Msg> buf_;
 };
 
-// Sharded counterpart of harness::Scenario. Graph-mode specs with
-// spec.shard_count > 1 run on the PDES engine; everything else (dumbbell
-// mode, shard_count <= 1, or a graph the partitioner cannot split) runs on
-// an embedded plain Scenario — the byte-identical legacy path.
+// Sharded runner for a harness::Scenario. Graph-mode specs with
+// spec.shard_count > 1 that partition run on the PDES engine; everything
+// else (dumbbell mode, shard_count <= 1, or a graph the partitioner cannot
+// split) builds a one-engine Scenario and runs it as is.
 class ShardedScenario {
  public:
   explicit ShardedScenario(harness::ScenarioSpec spec);
@@ -110,7 +110,12 @@ class ShardedScenario {
   ShardedScenario(const ShardedScenario&) = delete;
   ShardedScenario& operator=(const ShardedScenario&) = delete;
 
-  // Scenario::validate + construct, mirroring Scenario::try_build.
+  // Scenario::validate, plus kShardUnsupported when a spec that really
+  // partitions asks for a flow_maker, AuditMode::kRecord or the watchdog.
+  // (The build-gated audit is simply off under sharding.)
+  static std::optional<harness::SpecError> validate(
+      const harness::ScenarioSpec& spec);
+  // validate + construct, mirroring Scenario::try_build.
   static std::unique_ptr<ShardedScenario> try_build(
       harness::ScenarioSpec spec, harness::SpecError* err = nullptr);
 
@@ -118,38 +123,24 @@ class ShardedScenario {
   // all shards, including the merged cross-shard deliveries.
   std::uint64_t run();
 
-  // True when the PDES engine is active (false = delegated to Scenario).
-  bool sharded() const { return single_ == nullptr; }
-  // The delegate, present only when !sharded().
-  harness::Scenario* single() { return single_.get(); }
-
-  int n_shards() const { return sharded() ? part_.n_shards : 1; }
+  // 1 unless the PDES engine is active.
+  int n_shards() const { return part_.n_shards; }
   sim::Time lookahead() const { return part_.lookahead; }
   const topo::Partition& partition() const { return part_; }
   std::uint64_t rounds() const { return rounds_; }
   std::uint64_t cross_shard_packets() const;
   std::uint64_t events_executed() const;
 
-  int n_flows() const;
-  tcp::TcpSenderBase& sender(int i);
-  tcp::TcpReceiver& receiver(int i);
-  int n_cbr() const;
-  traffic::CbrSink& cbr_sink(int i);
-  // Graph-mode link by GLOBAL index (the GraphSpec's numbering) — the same
-  // index space as Scenario::graph().link(i), whichever shard owns it.
-  net::Link& link(int i);
-  // The FTP source of flow i; null for ON/OFF flows.
-  app::FtpSource* source(int i);
-  harness::FlowInstruments& instruments(int i);
-
-  const harness::ScenarioSpec& spec() const { return spec_; }
-  FlowArena& arena() { return arena_; }
+  // The built world: flows, sources, CBR, instruments and the graph, in
+  // the GraphSpec's global numbering whichever shard owns each object.
+  harness::Scenario& scenario() { return *scenario_; }
+  int n_flows() const { return scenario_->n_flows(); }
+  tcp::TcpSenderBase& sender(int i) { return scenario_->sender(i); }
+  tcp::TcpReceiver& receiver(int i) { return *scenario_->flow(i).receiver; }
+  net::Link& link(int i) { return scenario_->graph().link(i); }
+  const harness::ScenarioSpec& spec() const { return scenario_->spec(); }
 
  private:
-  struct Shard {
-    sim::Simulator sim;
-    std::uint64_t executed = 0;
-  };
   // One cross-shard packet in flight during a merge, with its canonical
   // sort key.
   struct Pending {
@@ -159,17 +150,7 @@ class ShardedScenario {
     net::Node* dst;
     net::Packet pkt;
   };
-  struct ShardedFlow {
-    env::SimEnvironment* snd_env = nullptr;
-    env::SimEnvironment* rcv_env = nullptr;
-    tcp::TcpSenderBase* sender = nullptr;
-    tcp::TcpReceiver* receiver = nullptr;
-    app::FtpSource* ftp = nullptr;
-    traffic::OnOffSource* onoff = nullptr;
-  };
 
-  void build_shards();
-  void build_flows();
   void start_workers();
   void stop_workers();
   void worker_loop(int shard);
@@ -184,27 +165,15 @@ class ShardedScenario {
   // single-engine run_until(horizon).
   std::size_t merge_channels(sim::Time count_upto);
 
-  harness::ScenarioSpec spec_;
-  std::unique_ptr<harness::Scenario> single_;  // delegate when !sharded()
-
   topo::Partition part_;
-  std::vector<int> table_;  // global next-hop table (topo::compute_route_table)
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<net::Node>> nodes_;   // global node index
-  std::vector<std::unique_ptr<net::Link>> links_;   // global link index
+  // Declared before the scenario so its links, which point at them, die
+  // first.
   std::vector<std::unique_ptr<Channel>> channels_;  // one per cut link
   std::vector<net::Node*> channel_dst_;             // cut link's head node
   std::vector<int> channel_dst_shard_;
   std::vector<std::vector<Pending>> merge_scratch_;  // per dest shard
-
-  // Arena-backed per-flow state. Declared after the shards/nodes/links so
-  // it is destroyed FIRST: endpoint destructors detach from nodes and
-  // release timers into their shard's simulator, which must still exist.
-  FlowArena arena_;
-  std::vector<ShardedFlow> flows_;
-  std::vector<traffic::CbrSource*> cbr_sources_;  // arena-owned
-  std::vector<traffic::CbrSink*> cbr_sinks_;      // arena-owned
-  std::vector<std::unique_ptr<harness::FlowInstruments>> instruments_;
+  std::unique_ptr<harness::Scenario> scenario_;
+  std::vector<std::uint64_t> executed_;  // per shard
 
   // Round barrier. Workers wait for round_gen_ to advance, run their
   // window, then the last one to finish wakes the coordinator.

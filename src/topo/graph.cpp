@@ -48,8 +48,20 @@ int GraphSpec::add_duplex(int a, int b, std::int64_t bandwidth_bps,
 }
 
 TopologyGraph::TopologyGraph(sim::Simulator& sim, GraphSpec spec)
-    : sim_{sim}, spec_{std::move(spec)} {
+    : node_sim_(spec.nodes.size(), &sim), spec_{std::move(spec)} {
+  build();
+}
+
+TopologyGraph::TopologyGraph(std::vector<sim::Simulator*> node_sim,
+                             GraphSpec spec)
+    : node_sim_{std::move(node_sim)}, spec_{std::move(spec)} {
+  build();
+}
+
+void TopologyGraph::build() {
   RRTCP_ASSERT_MSG(!spec_.empty(), "topology graph needs at least one node");
+  RRTCP_ASSERT_MSG(node_sim_.size() == spec_.nodes.size(),
+                   "one engine per node");
 
   nodes_.reserve(spec_.nodes.size());
   for (std::size_t i = 0; i < spec_.nodes.size(); ++i)
@@ -57,11 +69,12 @@ TopologyGraph::TopologyGraph(sim::Simulator& sim, GraphSpec spec)
 
   links_.reserve(spec_.links.size());
   for (const LinkSpec& ls : spec_.links) {
+    sim::Simulator& owner = sim_of(ls.from);
     net::LinkConfig lc{ls.bandwidth_bps, ls.delay, ls.name};
     auto queue = ls.make_queue
-                     ? ls.make_queue(sim_)
+                     ? ls.make_queue(owner)
                      : std::make_unique<net::DropTailQueue>(ls.queue_packets);
-    auto link = std::make_unique<net::Link>(sim_, std::move(lc),
+    auto link = std::make_unique<net::Link>(owner, std::move(lc),
                                             std::move(queue));
     link->set_dst(nodes_[static_cast<std::size_t>(ls.to)].get());
     links_.push_back(std::move(link));
@@ -72,9 +85,9 @@ TopologyGraph::TopologyGraph(sim::Simulator& sim, GraphSpec spec)
 
 void TopologyGraph::compute_routes() {
   const int n = n_nodes();
-  // Shared with the sharded engine (topo/partition.hpp): both compute
-  // next-hops on the full spec, so forwarding is identical at every shard
-  // count.
+  // Computed on the full spec whatever the engine assignment, so
+  // forwarding is identical at every shard count. Every entry at node v
+  // names a link leaving v, which v's engine owns.
   table_ = compute_route_table(spec_);
 
   // Install on the nodes.

@@ -15,6 +15,11 @@
 // path: route resolution is the same per-destination table lookup in
 // net::Node the dumbbell always used, so the 0-allocs/packet guarantee of
 // DESIGN.md §11 holds for any graph.
+//
+// Engines: by default every node runs on one simulator. The sharded engine
+// (src/pdes) instead hands in a per-node engine assignment; each link —
+// queue included — is then built on the engine of its tail node, the only
+// engine that ever enqueues into it.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +45,7 @@ struct LinkSpec {
   sim::Time delay = sim::Time::zero();
   std::uint64_t queue_packets = 10'000;
   // Optional queue factory; wins over queue_packets when set. Receives the
-  // simulator so time-coupled disciplines (RED) can be built.
+  // tail node's simulator so time-coupled disciplines (RED) can be built.
   std::function<std::unique_ptr<net::QueueDisc>(sim::Simulator&)> make_queue =
       {};
   std::string name = {};  // auto-generated "A->B" from node names when empty
@@ -75,7 +80,10 @@ struct GraphSpec {
 
 class TopologyGraph {
  public:
+  // Every node on `sim`.
   TopologyGraph(sim::Simulator& sim, GraphSpec spec);
+  // Node i runs on *node_sim[i] (one entry per spec node).
+  TopologyGraph(std::vector<sim::Simulator*> node_sim, GraphSpec spec);
   TopologyGraph(const TopologyGraph&) = delete;
   TopologyGraph& operator=(const TopologyGraph&) = delete;
 
@@ -86,6 +94,10 @@ class TopologyGraph {
   net::Link& link(int i) { return *links_.at(static_cast<std::size_t>(i)); }
   const std::string& node_name(int i) const {
     return spec_.nodes.at(static_cast<std::size_t>(i));
+  }
+  // The simulator node i (and every link leaving it) runs on.
+  sim::Simulator& sim_of(int i) const {
+    return *node_sim_.at(static_cast<std::size_t>(i));
   }
 
   // First link from -> to, or nullptr.
@@ -106,9 +118,10 @@ class TopologyGraph {
   const GraphSpec& spec() const { return spec_; }
 
  private:
+  void build();
   void compute_routes();
 
-  sim::Simulator& sim_;
+  std::vector<sim::Simulator*> node_sim_;
   GraphSpec spec_;
   std::vector<std::unique_ptr<net::Node>> nodes_;
   std::vector<std::unique_ptr<net::Link>> links_;

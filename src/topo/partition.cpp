@@ -37,7 +37,6 @@ Partition partition_graph(const GraphSpec& spec, int requested_shards) {
 
   Partition part;
   part.node_shard.assign(static_cast<std::size_t>(n), 0);
-  part.link_shard.assign(spec.links.size(), 0);
 
   if (requested_shards <= 1) {
     part.shard_nodes.resize(1);
@@ -107,7 +106,6 @@ Partition partition_graph(const GraphSpec& spec, int requested_shards) {
     const LinkSpec& ls = spec.links[li];
     const int s_from = part.node_shard[static_cast<std::size_t>(ls.from)];
     const int s_to = part.node_shard[static_cast<std::size_t>(ls.to)];
-    part.link_shard[li] = s_from;
     if (s_from == s_to) continue;
     RRTCP_ASSERT_MSG(ls.delay > sim::Time::zero(),
                      "cut link with zero delay (lookahead would be zero)");

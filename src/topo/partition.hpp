@@ -27,7 +27,6 @@ struct Partition {
   // never less than 1.
   int n_shards = 1;
   std::vector<int> node_shard;  // node index -> shard index
-  std::vector<int> link_shard;  // link index -> owning shard (= tail's shard)
   // Links whose head is in a different shard than their tail, ascending.
   std::vector<int> cut_links;
   // min(delay) over cut_links; zero when there are no cut links. Strictly
@@ -44,10 +43,9 @@ Partition partition_graph(const GraphSpec& spec, int requested_shards);
 // The n_nodes x n_nodes next-hop table for `spec`: entry [at*n + dst] is
 // the link index a packet at `at` destined for `dst` departs on, or -1 when
 // unreachable. Deterministic shortest path (BFS hop count, lowest link
-// index wins ties) with explicit RouteSpec entries overriding. Shared by
-// TopologyGraph and the sharded engine — sharded routing decisions are
-// computed on the GLOBAL graph, so forwarding is identical at every shard
-// count.
+// index wins ties) with explicit RouteSpec entries overriding. TopologyGraph
+// computes it on the GLOBAL graph whatever its engine assignment, so
+// forwarding is identical at every shard count.
 std::vector<int> compute_route_table(const GraphSpec& spec);
 
 }  // namespace rrtcp::topo

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "broken_liveness_senders.hpp"
@@ -94,13 +95,14 @@ TEST(ChaosSoak, BrokenSenderIsCaughtThroughTheFullHarness) {
   cfg.n_flows = 1;
   cfg.bytes_per_flow = 2'000'000;
   cfg.horizon = Time::seconds(30);
-  cfg.flow_maker = [](sim::Simulator& sim, net::Node& snd, net::Node& rcv,
-                      net::FlowId flow, const tcp::TcpConfig& tcp) {
+  ScenarioSpec spec = chaos_spec(cfg);
+  spec.flow_maker = [](sim::Simulator& sim, net::Node& snd, net::Node& rcv,
+                       net::FlowId flow, const FlowSpec& fs) {
     app::Flow f;
     f.sender = std::make_unique<test::DeadRtoSender>(sim, snd, flow, rcv.id(),
-                                                     tcp);
+                                                     fs.tcp);
     tcp::ReceiverConfig rcfg;
-    rcfg.ack_bytes = tcp.ack_bytes;
+    rcfg.ack_bytes = fs.tcp.ack_bytes;
     f.receiver =
         std::make_unique<tcp::TcpReceiver>(sim, rcv, flow, snd.id(), rcfg);
     return f;
@@ -108,8 +110,9 @@ TEST(ChaosSoak, BrokenSenderIsCaughtThroughTheFullHarness) {
 
   std::vector<chaos::WatchdogReport> reports;
   std::vector<audit::Violation> violations;
-  const ChaosRunOutcome out = run_chaos_schedule(
-      chaos::FaultPlan{{outage}}, /*seed=*/11, cfg, &reports, &violations);
+  const ChaosRunOutcome out =
+      run_chaos_schedule(chaos::FaultPlan{{outage}}, /*seed=*/11,
+                         std::move(spec), &reports, &violations);
 
   EXPECT_FALSE(out.graceful);
   EXPECT_EQ(out.flows_dead, 1);
@@ -142,8 +145,8 @@ TEST(ChaosSoak, HealthyControlSurvivesTheSameOutage) {
   cfg.bytes_per_flow = 2'000'000;
   cfg.horizon = Time::seconds(60);
 
-  const ChaosRunOutcome out =
-      run_chaos_schedule(chaos::FaultPlan{{outage}}, /*seed=*/11, cfg);
+  const ChaosRunOutcome out = run_chaos_schedule(
+      chaos::FaultPlan{{outage}}, /*seed=*/11, chaos_spec(cfg));
   EXPECT_TRUE(out.graceful) << "dead=" << out.flows_dead
                             << " violations=" << out.audit_violations
                             << " watchdog=" << out.watchdog_reports;

@@ -21,19 +21,16 @@ GraphSpec chain4(sim::Time delay) {
 
 void check_invariants(const GraphSpec& g, const Partition& p) {
   ASSERT_EQ(p.node_shard.size(), g.nodes.size());
-  ASSERT_EQ(p.link_shard.size(), g.links.size());
   for (const int s : p.node_shard) {
     EXPECT_GE(s, 0);
     EXPECT_LT(s, p.n_shards);
   }
-  // Links belong to their tail's shard; cut_links are exactly the links
-  // whose head lives elsewhere, ascending and with positive delay.
+  // cut_links are exactly the links whose head lives in another shard than
+  // their tail, ascending and with positive delay.
   std::set<int> cuts(p.cut_links.begin(), p.cut_links.end());
   EXPECT_EQ(cuts.size(), p.cut_links.size());
   for (std::size_t li = 0; li < g.links.size(); ++li) {
     const LinkSpec& ls = g.links[li];
-    EXPECT_EQ(p.link_shard[li],
-              p.node_shard[static_cast<std::size_t>(ls.from)]);
     const bool is_cut = p.node_shard[static_cast<std::size_t>(ls.from)] !=
                         p.node_shard[static_cast<std::size_t>(ls.to)];
     EXPECT_EQ(cuts.count(static_cast<int>(li)) == 1, is_cut) << "link " << li;
@@ -123,7 +120,6 @@ TEST(Partition, DeterministicForSameInput) {
   const Partition b = partition_graph(md.spec, 4);
   EXPECT_EQ(a.n_shards, b.n_shards);
   EXPECT_EQ(a.node_shard, b.node_shard);
-  EXPECT_EQ(a.link_shard, b.link_shard);
   EXPECT_EQ(a.cut_links, b.cut_links);
   EXPECT_EQ(a.lookahead, b.lookahead);
   EXPECT_EQ(a.shard_nodes, b.shard_nodes);

@@ -2,15 +2,17 @@
 //
 // The headline pin lives here: one ScenarioSpec run at shard counts
 // {1, 2, 4, 8} must produce IDENTICAL per-flow trace digests, where the
-// shard_count = 1 leg is the plain single-engine harness::Scenario (the
-// delegation path) — i.e. sharding is invisible in every flow's trace.
+// shard_count = 1 leg is the plain single-engine harness::Scenario — i.e.
+// sharding is invisible in every flow's trace.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
+#include "app/flow_factory.hpp"
 #include "fuzz/digest.hpp"
 #include "harness/scenario.hpp"
+#include "net/red.hpp"
 #include "pdes/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "topo/presets.hpp"
@@ -153,9 +155,8 @@ std::vector<std::uint64_t> per_flow_digests(ShardedScenario& sc) {
 
 TEST(ShardedScenario, SingleShardDelegatesToPlainScenario) {
   ShardedScenario sc{sharded_md_spec(/*shards=*/1)};
-  EXPECT_FALSE(sc.sharded());
-  EXPECT_NE(sc.single(), nullptr);
   EXPECT_EQ(sc.n_shards(), 1);
+  EXPECT_EQ(sc.scenario().n_engines(), 1);
 }
 
 TEST(ShardedScenario, DumbbellModeDelegates) {
@@ -166,7 +167,7 @@ TEST(ShardedScenario, DumbbellModeDelegates) {
   f.bytes = 10'000;
   spec.add_flow(f);
   ShardedScenario sc{std::move(spec)};
-  EXPECT_FALSE(sc.sharded());
+  EXPECT_EQ(sc.n_shards(), 1);
   sc.run();
   EXPECT_TRUE(sc.sender(0).complete());
 }
@@ -186,20 +187,19 @@ TEST(ShardedScenario, UnpartitionableGraphDelegates) {
   f.dst_node = 1;
   spec.add_flow(f);
   ShardedScenario sc{std::move(spec)};
-  EXPECT_FALSE(sc.sharded());
+  EXPECT_EQ(sc.n_shards(), 1);
   sc.run();
   EXPECT_TRUE(sc.sender(0).complete());
 }
 
 TEST(ShardedScenario, ShardedRunMakesProgressAcrossShards) {
   ShardedScenario sc{sharded_md_spec(/*shards=*/4)};
-  ASSERT_TRUE(sc.sharded());
-  EXPECT_EQ(sc.n_shards(), 4);
+  ASSERT_EQ(sc.n_shards(), 4);
+  EXPECT_EQ(sc.scenario().n_engines(), 4);
   EXPECT_GT(sc.lookahead(), Time::zero());
   sc.run();
   EXPECT_GT(sc.rounds(), 0u);
   EXPECT_GT(sc.cross_shard_packets(), 0u);
-  EXPECT_GT(sc.arena().objects(), 0u);
   for (int i = 0; i < sc.n_flows(); ++i) {
     EXPECT_TRUE(sc.sender(i).complete()) << "flow " << i;
   }
@@ -209,13 +209,12 @@ TEST(ShardedScenario, ShardedRunMakesProgressAcrossShards) {
 // every shard count, with the 1-shard leg being the plain single engine.
 TEST(ShardedScenario, PerFlowTracesIdenticalAcrossShardCounts) {
   ShardedScenario single{sharded_md_spec(/*shards=*/1)};
-  ASSERT_FALSE(single.sharded());
+  ASSERT_EQ(single.n_shards(), 1);
   const std::vector<std::uint64_t> baseline = per_flow_digests(single);
 
   for (const int shards : {2, 4, 8}) {
     ShardedScenario sc{sharded_md_spec(shards)};
-    ASSERT_TRUE(sc.sharded()) << shards << " shards";
-    EXPECT_EQ(sc.n_shards(), shards);
+    ASSERT_EQ(sc.n_shards(), shards);
     EXPECT_EQ(per_flow_digests(sc), baseline) << shards << " shards";
   }
 }
@@ -275,11 +274,130 @@ TEST(ShardedScenario, FlowSetsExpandInShardedMode) {
   spec.add_flow_set(set);
 
   ShardedScenario sc{std::move(spec)};
-  ASSERT_TRUE(sc.sharded());
+  ASSERT_EQ(sc.n_shards(), 2);
   EXPECT_EQ(sc.n_flows(), 4);
   sc.run();
   for (int i = 0; i < 4; ++i)
     EXPECT_TRUE(sc.sender(i).complete()) << "flow " << i;
+}
+
+// Typed rejections: what one engine needs is refused with
+// kShardUnsupported when the spec really partitions, instead of an abort
+// (flow_maker) or being silently switched off (record audit, watchdog).
+harness::SpecError sharded_build_error(harness::ScenarioSpec spec) {
+  harness::SpecError err;
+  EXPECT_EQ(ShardedScenario::try_build(std::move(spec), &err), nullptr);
+  return err;
+}
+
+TEST(ShardedScenario, TryBuildRejectsFlowMaker) {
+  harness::ScenarioSpec spec = sharded_md_spec(2);
+  spec.flow_maker = [](sim::Simulator& sim, net::Node& snd, net::Node& rcv,
+                       net::FlowId id, const harness::FlowSpec& fs) {
+    return app::make_flow(fs.variant, sim, snd, rcv, id, fs.tcp);
+  };
+  // One engine still takes it.
+  harness::ScenarioSpec single = spec;
+  single.shard_count = 1;
+  EXPECT_FALSE(ShardedScenario::validate(single).has_value());
+  EXPECT_EQ(sharded_build_error(std::move(spec)).code,
+            harness::SpecError::Code::kShardUnsupported);
+}
+
+TEST(ShardedScenario, TryBuildRejectsRecordAudit) {
+  harness::ScenarioSpec spec = sharded_md_spec(2);
+  spec.instruments.audit = harness::AuditMode::kRecord;
+  EXPECT_EQ(sharded_build_error(std::move(spec)).code,
+            harness::SpecError::Code::kShardUnsupported);
+}
+
+TEST(ShardedScenario, TryBuildRejectsWatchdog) {
+  harness::ScenarioSpec spec = sharded_md_spec(2);
+  spec.instruments.watchdog = true;
+  EXPECT_EQ(sharded_build_error(std::move(spec)).code,
+            harness::SpecError::Code::kShardUnsupported);
+}
+
+// The build-gated audit stays accepted: it is simply off under sharding.
+TEST(ShardedScenario, BuildGatedAuditIsOffUnderSharding) {
+  harness::ScenarioSpec spec = sharded_md_spec(2);
+  spec.instruments.audit = harness::AuditMode::kBuildGated;
+  auto sc = ShardedScenario::try_build(std::move(spec));
+  ASSERT_NE(sc, nullptr);
+  EXPECT_EQ(sc->spec().instruments.audit, harness::AuditMode::kNone);
+}
+
+// RED on a shared bottleneck under sharding: each queue is built on the
+// engine of its link's tail node, so its idle clock reads that shard's
+// time. The receiver side is the larger component, so the partitioner puts
+// it on shard 0 and R1 — with the RED bottleneck — on shard 1. The
+// multi-dumbbell with zero access delay is tie-safe (DESIGN.md §17), so the
+// 1- and 2-shard runs must agree on every flow's trace and on the RED
+// queue's early and forced drops.
+struct RedRun {
+  std::vector<std::uint64_t> digests;
+  std::uint64_t early = 0;
+  std::uint64_t forced = 0;
+};
+
+RedRun run_red_multi_dumbbell(int shards) {
+  topo::MultiDumbbellConfig mdc;
+  mdc.n_senders = 3;
+  mdc.m_receivers = 6;
+  mdc.bottleneck_bps = 2'000'000;
+  mdc.bottleneck_delay = Time::milliseconds(20);
+  net::RedConfig rc;
+  rc.buffer_packets = 30;
+  rc.min_th = 3.0;
+  rc.max_th = 12.0;
+  // A short nominal packet time makes every idle period decay the average
+  // hard, so the idle clock — the one place RED reads its engine's time —
+  // steers the drop decisions.
+  rc.w_q = 0.02;
+  rc.mean_pkt_tx = Time::microseconds(100);
+  rc.seed = 7;
+  mdc.make_bottleneck_queue = [rc](sim::Simulator& sim) {
+    return std::make_unique<net::RedQueue>(sim, rc);
+  };
+  const topo::MultiDumbbellLayout md = topo::multi_dumbbell(mdc);
+
+  harness::ScenarioSpec spec;
+  spec.name = "pdes-red";
+  spec.graph = md.spec;
+  spec.shard_count = shards;
+  spec.horizon = Time::seconds(20);
+  spec.instruments.tracers = false;
+  spec.instruments.audit = harness::AuditMode::kNone;
+  for (int i = 0; i < 6; ++i) {
+    harness::FlowSpec f;
+    f.variant = i % 2 == 0 ? app::Variant::kRr : app::Variant::kNewReno;
+    f.start = Time::milliseconds(70) * i;
+    f.bytes = 200'000;
+    f.src_node = md.senders[static_cast<std::size_t>(i) % 3];
+    f.dst_node = md.receivers[static_cast<std::size_t>(i)];
+    spec.add_flow(f);
+  }
+
+  ShardedScenario sc{std::move(spec)};
+  EXPECT_EQ(sc.n_shards(), shards);
+  if (shards > 1) {
+    EXPECT_EQ(sc.partition().node_shard[static_cast<std::size_t>(md.r1)], 1);
+  }
+  RedRun out;
+  out.digests = per_flow_digests(sc);
+  auto& red = dynamic_cast<net::RedQueue&>(sc.link(md.bottleneck_link).queue());
+  out.early = red.early_drops();
+  out.forced = red.forced_drops();
+  return out;
+}
+
+TEST(ShardedScenario, RedBottleneckIdenticalAcrossShardCounts) {
+  const RedRun one = run_red_multi_dumbbell(1);
+  const RedRun two = run_red_multi_dumbbell(2);
+  EXPECT_GT(one.early, 0u) << "RED never dropped early";
+  EXPECT_EQ(two.digests, one.digests);
+  EXPECT_EQ(two.early, one.early);
+  EXPECT_EQ(two.forced, one.forced);
 }
 
 }  // namespace
