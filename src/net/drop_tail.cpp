@@ -1,29 +1,16 @@
 #include "net/drop_tail.hpp"
 
-#include <algorithm>
-
 #include "sim/assert.hpp"
 
 namespace rrtcp::net {
 
-namespace {
-// Smallest packet a byte-capacity queue plausibly holds — used only to
-// convert a byte capacity into a ring pre-reservation, so an underestimate
-// merely shifts a doubling or two back onto the (amortized) grow path.
-constexpr std::uint64_t kMinPacketBytes = 64;
-}  // namespace
-
+// The ring starts empty and grows with the traffic (see PacketRing). Do not
+// pre-size it to the configured capacity: every slot is a value-initialised
+// 128-byte Packet, and zero-filling buffers most links never use dominated
+// the set-up of the paper's short sweep scenarios (DESIGN.md §11).
 DropTailQueue::DropTailQueue(std::uint64_t capacity, Mode mode)
     : capacity_{capacity}, mode_{mode} {
   RRTCP_ASSERT_MSG(capacity > 0, "drop-tail queue needs capacity >= 1");
-  // Pre-size the ring at construction so even a queue whose first packet
-  // arrives deep into a run never allocates on the hot path. In packet mode
-  // the capacity bounds the depth exactly; cap the reservation so a
-  // nominally huge buffer doesn't pin memory it will never use (beyond the
-  // cap, amortized doubling takes over).
-  const std::uint64_t depth =
-      mode_ == Mode::kPackets ? capacity_ : capacity_ / kMinPacketBytes + 1;
-  q_.reserve(static_cast<std::size_t>(std::min<std::uint64_t>(depth, 1024)));
 }
 
 bool DropTailQueue::enqueue(Packet p) {
@@ -35,8 +22,8 @@ bool DropTailQueue::enqueue(Packet p) {
     return false;
   }
   bytes_ += p.size_bytes;
-  // q_ is a PacketRing (pre-reserved, cold amortized growth), not a std
-  // container; the suppression is for the type-blind lite checker.
+  // q_ is a PacketRing (cold growth only at a new high-water mark), not a
+  // std container; the suppression is for the type-blind lite checker.
   // NOLINTNEXTLINE(rrtcp-hot-path-alloc)
   q_.push_back(std::move(p));
   ++stats_.enqueued;

@@ -3,10 +3,11 @@
 //
 // std::deque allocates and frees its block map as a queue breathes, which
 // puts allocator traffic on every sustained burst. PacketRing keeps one
-// flat power-of-two array that doubles on overflow and NEVER shrinks: after
-// the first few RTTs warm it to the queue's working depth, enqueue/dequeue
-// are index arithmetic only — the allocation-free steady state the
-// forwarding path promises (see DESIGN.md §11).
+// flat power-of-two array that starts empty, takes 16 slots on the first
+// push, doubles on overflow and NEVER shrinks. A queue therefore allocates
+// only when it reaches a new high-water mark; once it has seen its peak
+// depth, enqueue/dequeue are index arithmetic only — the allocation-free
+// steady state the forwarding path promises (see DESIGN.md §11).
 #pragma once
 
 #include <cstddef>
@@ -25,7 +26,8 @@ class PacketRing {
 
   bool empty() const { return count_ == 0; }
   std::size_t size() const { return count_; }
-  // Slots currently held (high-water mark of the queue, rounded up).
+  // Slots currently held: 0 until the first push, then the queue's
+  // high-water mark rounded up to a power of two (at least 16).
   std::size_t capacity() const { return buf_.size(); }
 
   RRTCP_HOT void push_back(Packet p) {
@@ -60,24 +62,9 @@ class PacketRing {
     return p;
   }
 
-  // Pre-size to at least `n` slots (rounded up to a power of two) so even
-  // the first burst allocates nothing.
-  void reserve(std::size_t n) {
-    if (n > buf_.size()) grow_to(ceil_pow2(n));
-  }
-
  private:
-  static std::size_t ceil_pow2(std::size_t n) {
-    std::size_t c = kMinCapacity;
-    while (c < n) c <<= 1;
-    return c;
-  }
-
   RRTCP_COLD void grow() {
-    grow_to(buf_.empty() ? kMinCapacity : buf_.size() * 2);
-  }
-
-  RRTCP_COLD void grow_to(std::size_t new_cap) {
+    const std::size_t new_cap = buf_.empty() ? kMinCapacity : buf_.size() * 2;
     std::vector<Packet> next(new_cap);
     for (std::size_t i = 0; i < count_; ++i)
       next[i] = std::move(buf_[(head_ + i) & mask_]);

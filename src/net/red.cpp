@@ -14,11 +14,8 @@ RedQueue::RedQueue(sim::Simulator& sim, RedConfig cfg)
   RRTCP_ASSERT(cfg.max_p > 0 && cfg.max_p <= 1.0);
   RRTCP_ASSERT(cfg.w_q > 0 && cfg.w_q <= 1.0);
   idle_since_ = sim.now();
-  // Pre-size the ring to the physical buffer so the enqueue path never
-  // allocates, even for a queue first touched mid-run (capped as in
-  // DropTailQueue — beyond it, amortized doubling takes over).
-  q_.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(cfg_.buffer_packets, 1024)));
+  // The ring grows with the traffic, as in DropTailQueue: no buffer memory
+  // until the first enqueue, then one doubling per new high-water mark.
 }
 
 void RedQueue::update_average() {
@@ -105,8 +102,8 @@ bool RedQueue::enqueue(Packet p) {
   }
 
   bytes_ += p.size_bytes;
-  // q_ is a PacketRing (pre-reserved, cold amortized growth), not a std
-  // container; the suppression is for the type-blind lite checker.
+  // q_ is a PacketRing (cold growth only at a new high-water mark), not a
+  // std container; the suppression is for the type-blind lite checker.
   // NOLINTNEXTLINE(rrtcp-hot-path-alloc)
   q_.push_back(std::move(p));
   ++stats_.enqueued;

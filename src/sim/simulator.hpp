@@ -248,7 +248,11 @@ class Simulator {
     return a.seq < b.seq;
   }
 
-  static constexpr std::size_t kChunkShift = 9;
+  // The pool grows 128 nodes (28 KiB) at a time. Each chunk is
+  // value-initialised when it is created, so the first chunk is set-up
+  // cost every scenario pays, however short; a deeper run just takes more
+  // chunks on the cold grow path.
+  static constexpr std::size_t kChunkShift = 7;
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
 
   // Timer-wheel geometry. Level k buckets are 2^(kWheelShift0 + 6k) ps

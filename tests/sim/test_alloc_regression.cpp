@@ -253,5 +253,36 @@ TEST(AllocRegression, QueueRingsSteadyStateAreAllocationFree) {
   EXPECT_EQ(delta, 0u);
 }
 
+// Queue rings grow with the traffic rather than being sized for the
+// configured worst case: building a queue, however large its nominal
+// buffer, touches no allocator until the first packet arrives.
+TEST(AllocRegression, QueueConstructionIsAllocationFree) {
+  sim::Simulator sim;
+  net::RedConfig rc;
+  rc.buffer_packets = 1'000;
+  rc.max_th = 500;
+
+  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  {
+    net::DropTailQueue packets{1'000'000};
+    net::DropTailQueue bytes{1'000'000, net::DropTailQueue::Mode::kBytes};
+    net::RedQueue red{sim, rc};
+  }
+  const std::uint64_t delta =
+      g_allocs.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(delta, 0u);
+}
+
+// The event pool grows in 128-node chunks: a short run pays for one small
+// chunk, not a large one it never fills.
+TEST(AllocRegression, FirstEventTakesOneSmallPoolChunk) {
+  sim::Simulator sim;
+  EXPECT_EQ(sim.event_pool_slots(), 0u);
+  sim.schedule_in(sim::Time::microseconds(1), [] {});
+  EXPECT_EQ(sim.event_pool_slots(), 128u);
+  sim.run();
+  EXPECT_EQ(sim.event_pool_slots(), 128u);
+}
+
 }  // namespace
 }  // namespace rrtcp

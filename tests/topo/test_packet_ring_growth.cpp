@@ -2,6 +2,8 @@
 // contents preserved, and a scenario where sustained reverse-path
 // saturation forces the deep reverse-bottleneck ring to grow past its
 // minimum capacity mid-simulation without losing a packet.
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -43,47 +45,47 @@ TEST(PacketRing, GrowPreservesFifoAcrossWraparound) {
   EXPECT_EQ(ring.capacity(), 32u);  // grow-only: never shrinks
 }
 
-TEST(PacketRing, ReservePresizesToPowerOfTwo) {
-  net::PacketRing ring;
-  ring.reserve(100);
-  EXPECT_EQ(ring.capacity(), 128u);
-  for (std::uint64_t s = 0; s < 128; ++s)
-    ring.push_back(test::make_data(1, s, 1000));
-  EXPECT_EQ(ring.capacity(), 128u);  // exactly filled, no growth
+TEST(DropTail, RingStartsEmptyWhateverTheBufferCapacity) {
+  // The ring is sized by the traffic, not by the configured buffer: a new
+  // queue holds no slots however large its nominal capacity, in either
+  // mode.
+  EXPECT_EQ(net::DropTailQueue{1'000}.ring_capacity(), 0u);
+  EXPECT_EQ(net::DropTailQueue{1'000'000}.ring_capacity(), 0u);
+  EXPECT_EQ((net::DropTailQueue{1'000'000, net::DropTailQueue::Mode::kBytes}
+                 .ring_capacity()),
+            0u);
 }
 
-TEST(DropTail, RingIsPreSizedToTheBufferCapacity) {
-  // A packet-capacity queue reserves its whole (power-of-two-rounded)
-  // depth at construction, so enqueue never allocates — even for a queue
-  // whose first packet arrives mid-run.
-  net::DropTailQueue q{1'000};
-  EXPECT_EQ(q.ring_capacity(), 1024u);
-  for (std::uint64_t s = 0; s < 20; ++s)
-    ASSERT_TRUE(q.enqueue(test::make_data(1, s, 1000)));
-  EXPECT_EQ(q.len_packets(), 20u);
-  EXPECT_EQ(q.ring_capacity(), 1024u);  // no growth on use
-  while (q.dequeue().has_value()) {
-  }
-  EXPECT_EQ(q.ring_capacity(), 1024u);
-}
-
-TEST(DropTail, HugeNominalCapacityCapsTheReservation) {
-  // Beyond the reservation cap the ring falls back to amortized doubling,
-  // so a nominally enormous buffer doesn't pin memory it never uses.
+TEST(DropTail, RingDoublesAtEachNewHighWaterMark) {
+  // The first packet takes 16 slots; after that the ring doubles exactly
+  // when the queue outgrows it (packet 17, 33, 65, ...) and at no other
+  // enqueue. Draining keeps FIFO order and never shrinks the ring.
   net::DropTailQueue q{1'000'000};
-  EXPECT_EQ(q.ring_capacity(), 1024u);
-  for (std::uint64_t s = 0; s < 1025; ++s)
-    ASSERT_TRUE(q.enqueue(test::make_data(1, s, 1000)));
-  EXPECT_EQ(q.ring_capacity(), 2048u);  // doubled past the cap
+  std::size_t expected = 0;
+  for (std::uint64_t n = 1; n <= 1025; ++n) {
+    ASSERT_TRUE(q.enqueue(test::make_data(1, n, 1000)));
+    if (n == 1) expected = 16;
+    if (n > expected) expected *= 2;
+    ASSERT_EQ(q.ring_capacity(), expected) << "after " << n << " packets";
+  }
+  EXPECT_EQ(q.ring_capacity(), 2048u);
+  for (std::uint64_t n = 1; n <= 1025; ++n) {
+    auto p = q.dequeue();
+    ASSERT_TRUE(p.has_value());
+    EXPECT_EQ(p->tcp.seq, n);
+  }
+  EXPECT_FALSE(q.dequeue().has_value());
+  EXPECT_EQ(q.ring_capacity(), 2048u);
 }
 
 // Reverse-path saturation: a reverse bulk flow with a large window parks
-// window-minus-BDP packets (~100 here) in the deep reverse drop-tail
+// window-minus-BDP packets (~60 here) in the deep reverse drop-tail
 // buffer while the forward flow's ACKs thread through the same queue. The
-// ring is pre-sized at construction, so even this standing queue — far
-// past the old 16-slot minimum — never allocates mid-simulation: counters
-// reconcile exactly and both flows keep moving.
-TEST(PacketRingGrowth, ReverseSaturationNeverGrowsThePreSizedRing) {
+// ring starts empty, so this standing queue forces it to grow past its
+// 16-slot minimum mid-simulation, with packets in flight through it: the
+// growth must lose nothing, counters reconcile exactly and both flows
+// keep moving.
+TEST(PacketRingGrowth, ReverseSaturationGrowsTheRingMidRunWithoutLoss) {
   harness::ScenarioSpec spec;
   spec.name = "ring-growth";
   spec.seed = 5;
@@ -98,13 +100,32 @@ TEST(PacketRingGrowth, ReverseSaturationNeverGrowsThePreSizedRing) {
   auto* dt = dynamic_cast<net::DropTailQueue*>(
       &sc.topology().reverse_bottleneck().queue());
   ASSERT_NE(dt, nullptr);
-  const std::size_t reserved = dt->ring_capacity();
-  EXPECT_GT(reserved, 16u);  // pre-sized well past the old minimum
+  EXPECT_EQ(dt->ring_capacity(), 0u);
 
-  sc.run();
+  // Step through the run: the ring only ever grows, always covers the
+  // queue, and first passes 16 slots well inside the horizon.
+  std::size_t cap = 0;
+  std::size_t peak = 0;
+  sim::Time grew_past_16 = sim::Time::zero();
+  for (sim::Time t = sim::Time::milliseconds(1); t <= spec.horizon;
+       t = t + sim::Time::milliseconds(1)) {
+    sc.run_until(t);
+    const std::size_t now = dt->ring_capacity();
+    ASSERT_GE(now, cap) << "ring shrank at " << t.to_seconds() << " s";
+    ASSERT_GE(now, dt->len_packets());
+    if (cap <= 16 && now > 16) grew_past_16 = t;
+    cap = now;
+    peak = std::max(peak, dt->len_packets());
+  }
+  EXPECT_GT(grew_past_16, sim::Time::zero());
+  EXPECT_LT(grew_past_16, spec.horizon);
+  EXPECT_GT(cap, 16u);
+  // Sized to the traffic: a power of two covering the deepest backlog
+  // seen, at most one doubling above it.
+  EXPECT_TRUE(std::has_single_bit(cap));
+  EXPECT_GE(cap, std::bit_ceil(peak));
+  EXPECT_LE(cap, 2 * std::bit_ceil(peak));
 
-  EXPECT_EQ(dt->ring_capacity(), reserved)
-      << "the pre-sized reverse ring should never grow mid-simulation";
   EXPECT_GT(dt->len_packets(), 16u) << "reverse queue never built a deep "
                                        "standing backlog; saturation missing";
   // Deep buffer: nothing dropped, every enqueue accounted for.
