@@ -13,13 +13,8 @@
 #include <string>
 #include <vector>
 
-#include "app/flow_factory.hpp"
-#include "app/ftp.hpp"
 #include "core/rr_sender.hpp"
-#include "net/drop_tail.hpp"
-#include "net/dumbbell.hpp"
-#include "sim/simulator.hpp"
-#include "stats/tracer.hpp"
+#include "harness/scenario.hpp"
 
 namespace {
 
@@ -52,38 +47,34 @@ class Narrator final : public tcp::SenderObserver {
 void run(app::Variant v, int burst) {
   std::printf("\n===== %s, %d-packet burst loss =====\n", app::to_string(v),
               burst);
-  sim::Simulator sim;
-  net::DumbbellConfig netcfg;
-  netcfg.n_flows = 1;
-  netcfg.make_bottleneck_queue = [] {
-    return std::make_unique<net::DropTailQueue>(100);
-  };
-  net::DumbbellTopology topo{sim, netcfg};
+  tcp::TcpConfig tcfg;
+  tcfg.init_ssthresh_pkts = 10;
+  harness::ScenarioSpec spec;
+  spec.bottleneck = harness::QueueSpec::drop_tail(100);
+  spec.horizon = sim::Time::seconds(30);
+  spec.add_flow({.variant = v, .bytes = 100'000, .tcp = tcfg});
+  harness::Scenario sc{spec};
 
   std::vector<std::pair<net::FlowId, std::uint64_t>> losses;
   for (int i = 0; i < burst; ++i)
     losses.push_back({1, static_cast<std::uint64_t>(30 + i) * 1000});
-  topo.bottleneck().set_loss_model(
+  sc.topology().bottleneck().set_loss_model(
       std::make_unique<net::ListLossModel>(losses));
 
-  tcp::TcpConfig tcfg;
-  tcfg.init_ssthresh_pkts = 10;
-  auto flow = app::make_flow(v, sim, topo.sender_node(0),
-                             topo.receiver_node(0), 1, tcfg);
   Narrator narrator{app::to_string(v)};
-  flow.sender->add_observer(&narrator);
-  app::FtpSource ftp{sim, *flow.sender, sim::Time::zero(), 100'000};
+  tcp::TcpSenderBase& sender = sc.sender(0);
+  sender.add_observer(&narrator);
+  sc.run();
+  sender.remove_observer(&narrator);
 
-  sim.run_until(sim::Time::seconds(30));
-
-  const auto& st = flow.sender->stats();
+  const auto& st = sender.stats();
   std::printf("  -> transfer of 100 packets finished at %.3f s "
               "(%llu rtx, %llu timeouts)\n",
-              flow.sender->completion_time().to_seconds(),
+              sender.completion_time().to_seconds(),
               static_cast<unsigned long long>(st.retransmissions),
               static_cast<unsigned long long>(st.timeouts));
   if (v == app::Variant::kRr) {
-    auto* rr = static_cast<core::RrSender*>(flow.sender.get());
+    auto* rr = static_cast<core::RrSender*>(&sender);
     std::printf("  -> RR detected %llu further losses inside recovery and "
                 "issued %llu rescue retransmissions\n",
                 static_cast<unsigned long long>(rr->further_loss_events()),

@@ -8,11 +8,7 @@
 #include <cstdlib>
 #include <vector>
 
-#include "app/flow_factory.hpp"
-#include "app/ftp.hpp"
-#include "net/drop_tail.hpp"
-#include "net/dumbbell.hpp"
-#include "sim/simulator.hpp"
+#include "harness/scenario.hpp"
 #include "stats/table.hpp"
 
 namespace {
@@ -26,37 +22,23 @@ struct Outcome {
 
 Outcome run_pair(app::Variant target, app::Variant background, int n_bg,
                  std::uint64_t target_bytes) {
-  sim::Simulator sim;
-  net::DumbbellConfig netcfg;
-  netcfg.n_flows = n_bg + 1;
-  netcfg.make_bottleneck_queue = [] {
-    return std::make_unique<net::DropTailQueue>(25);
-  };
-  net::DumbbellTopology topo{sim, netcfg};
+  harness::ScenarioSpec spec;
+  spec.bottleneck = harness::QueueSpec::drop_tail(25);
+  spec.horizon = sim::Time::seconds(180);
+  spec.add_flows(n_bg, {.variant = background}, sim::Time::milliseconds(500));
+  spec.add_flow({.variant = target,
+                 .start = sim::Time::milliseconds(4800),
+                 .bytes = target_bytes});
+  harness::Scenario sc{spec};
 
   const net::FlowId target_flow = n_bg + 1;
   std::uint64_t target_drops = 0;
-  topo.bottleneck().queue().set_drop_callback([&](const net::Packet& p) {
-    if (p.flow == target_flow) ++target_drops;
-  });
-
-  std::vector<app::Flow> flows;
-  std::vector<std::unique_ptr<app::FtpSource>> sources;
-  for (int i = 0; i < n_bg; ++i) {
-    flows.push_back(app::make_flow(background, sim, topo.sender_node(i),
-                                   topo.receiver_node(i), i + 1));
-    sources.push_back(std::make_unique<app::FtpSource>(
-        sim, *flows.back().sender, sim::Time::milliseconds(500) * i,
-        std::nullopt));
-  }
-  flows.push_back(app::make_flow(target, sim, topo.sender_node(n_bg),
-                                 topo.receiver_node(n_bg), target_flow));
-  sources.push_back(std::make_unique<app::FtpSource>(
-      sim, *flows.back().sender, sim::Time::milliseconds(4800),
-      target_bytes));
-  auto& tf = *flows.back().sender;
-
-  sim.run_until(sim::Time::seconds(180));
+  sc.topology().bottleneck().queue().set_drop_callback(
+      [&](const net::Packet& p) {
+        if (p.flow == target_flow) ++target_drops;
+      });
+  sc.run();
+  const tcp::TcpSenderBase& tf = sc.sender(n_bg);
 
   Outcome out;
   if (tf.complete()) out.delay_s = tf.completion_time().to_seconds() - 4.8;

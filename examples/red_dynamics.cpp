@@ -5,13 +5,9 @@
 //
 // Usage: red_dynamics [variant] (default rr)
 #include <cstdio>
-#include <vector>
+#include <functional>
 
-#include "app/flow_factory.hpp"
-#include "app/ftp.hpp"
-#include "net/dumbbell.hpp"
-#include "net/red.hpp"
-#include "sim/simulator.hpp"
+#include "harness/scenario.hpp"
 
 int main(int argc, char** argv) {
   using namespace rrtcp;
@@ -19,33 +15,23 @@ int main(int argc, char** argv) {
   const app::Variant variant =
       argc > 1 ? app::variant_from_string(argv[1]) : app::Variant::kRr;
 
-  sim::Simulator sim;
-  net::DumbbellConfig netcfg;
-  netcfg.n_flows = 10;
-  net::RedQueue* red = nullptr;
-  netcfg.make_bottleneck_queue = [&] {
-    net::RedConfig rc;  // Table 4 defaults: 25/5/20/0.02/0.002
-    rc.mean_pkt_tx = sim::Time::transmission(1000, 800'000);
-    auto q = std::make_unique<net::RedQueue>(sim, rc);
-    red = q.get();
-    return q;
-  };
-  net::DumbbellTopology topo{sim, netcfg};
-
+  net::RedConfig rc;  // Table 4 defaults: 25/5/20/0.02/0.002
+  rc.mean_pkt_tx = sim::Time::transmission(1000, 800'000);
   tcp::TcpConfig tcfg;
   tcfg.max_window_pkts = 20;
   tcfg.init_ssthresh_pkts = 20;
 
-  std::vector<app::Flow> flows;
-  std::vector<std::unique_ptr<app::FtpSource>> sources;
+  harness::ScenarioSpec spec;
+  spec.bottleneck = harness::QueueSpec::red_queue(rc);
+  spec.horizon = sim::Time::seconds(6);
   for (int i = 0; i < 10; ++i) {
     const sim::Time start =
         i < 5 ? sim::Time::zero() : sim::Time::milliseconds(500) * (i - 4);
-    flows.push_back(app::make_flow(variant, sim, topo.sender_node(i),
-                                   topo.receiver_node(i), i + 1, tcfg));
-    sources.push_back(std::make_unique<app::FtpSource>(
-        sim, *flows[i].sender, start, std::nullopt));
+    spec.add_flow({.variant = variant, .start = start, .tcp = tcfg});
   }
+  harness::Scenario sc{spec};
+  sim::Simulator& sim = sc.sim();
+  net::RedQueue* red = sc.red();
 
   // Sample the RED average queue every 100 ms.
   std::printf("# time_s  red_avg_queue  instantaneous_queue\n");
@@ -57,18 +43,18 @@ int main(int argc, char** argv) {
   };
   sim.schedule_at(sim::Time::zero(), probe);
 
-  const sim::Time horizon = sim::Time::seconds(6);
-  sim.run_until(horizon);
+  const sim::Time horizon = spec.horizon;
+  sc.run();
 
   std::printf("\nper-flow goodput after %.0f s (%s):\n", horizon.to_seconds(),
               app::to_string(variant));
   double total = 0;
   for (int i = 0; i < 10; ++i) {
-    const double kbps =
-        flows[i].receiver->bytes_in_order() * 8.0 / horizon.to_seconds() / 1e3;
+    const double kbps = sc.flow(i).receiver->bytes_in_order() * 8.0 /
+                        horizon.to_seconds() / 1e3;
     total += kbps;
     std::printf("  flow %2d: %6.1f kbit/s (%llu timeouts)\n", i + 1, kbps,
-                static_cast<unsigned long long>(flows[i].sender->stats().timeouts));
+                static_cast<unsigned long long>(sc.sender(i).stats().timeouts));
   }
   std::printf("  total:   %6.1f kbit/s of 800 (early drops %llu, forced %llu)\n",
               total, static_cast<unsigned long long>(red->early_drops()),

@@ -1,6 +1,8 @@
-// rrtcp_sim — a small command-line driver over the public API: build a
-// dumbbell, run any mix of TCP variants over a drop-tail or RED (optionally
-// ECN) bottleneck with optional random loss, and print per-flow results.
+// rrtcp_sim — a thin command-line front end over harness::ScenarioSpec:
+// the options fill in one dumbbell spec (any TCP variant over a drop-tail
+// or RED, optionally ECN, bottleneck), optional random loss and
+// reordering go on the built bottleneck links, and per-flow results are
+// printed.
 //
 //   rrtcp_sim [options]
 //     --variant V       tahoe|reno|newreno|sack|rr|rightedge|linkung (rr)
@@ -21,13 +23,8 @@
 #include <optional>
 #include <vector>
 
-#include "app/flow_factory.hpp"
-#include "app/ftp.hpp"
-#include "net/drop_tail.hpp"
-#include "net/dumbbell.hpp"
-#include "net/red.hpp"
+#include "harness/scenario.hpp"
 #include "sim/log.hpp"
-#include "sim/simulator.hpp"
 #include "stats/table.hpp"
 
 namespace {
@@ -98,67 +95,51 @@ int main(int argc, char** argv) {
   using namespace rrtcp;
   const Options o = parse(argc, argv);
 
-  sim::Simulator sim;
-  net::DumbbellConfig netcfg;
-  netcfg.n_flows = o.flows;
-  net::RedQueue* red = nullptr;
-  if (o.red) {
-    netcfg.make_bottleneck_queue = [&]() -> std::unique_ptr<net::QueueDisc> {
-      net::RedConfig rc;
-      rc.buffer_packets = std::max<std::uint64_t>(o.buffer, 3);
-      rc.max_th = rc.buffer_packets * 0.8;
-      rc.min_th = rc.buffer_packets * 0.2;
-      rc.ecn = o.ecn;
-      rc.seed = o.seed;
-      rc.mean_pkt_tx = sim::Time::transmission(1000, 800'000);
-      auto q = std::make_unique<net::RedQueue>(sim, rc);
-      red = q.get();
-      return q;
-    };
-  } else {
-    netcfg.make_bottleneck_queue = [&] {
-      return std::make_unique<net::DropTailQueue>(o.buffer);
-    };
-  }
-  net::DumbbellTopology topo{sim, netcfg};
-  if (o.loss > 0)
-    topo.bottleneck().set_loss_model(
-        std::make_unique<net::UniformLossModel>(o.loss, o.seed));
-  if (o.ack_loss > 0)
-    topo.reverse_bottleneck().set_loss_model(
-        std::make_unique<net::UniformLossModel>(o.ack_loss, o.seed + 1,
-                                                /*data_only=*/false));
-  if (o.reorder > 0)
-    topo.bottleneck().set_reorder_model(std::make_unique<net::ReorderModel>(
-        o.reorder, sim::Time::milliseconds(300), o.seed + 2));
-
   tcp::TcpConfig tcfg;
   tcfg.ecn_enabled = o.ecn;
 
-  std::vector<app::Flow> flows;
-  std::vector<std::unique_ptr<app::FtpSource>> sources;
-  for (int i = 0; i < o.flows; ++i) {
-    flows.push_back(app::make_flow(o.variant, sim, topo.sender_node(i),
-                                   topo.receiver_node(i), i + 1, tcfg));
-    sources.push_back(std::make_unique<app::FtpSource>(
-        sim, *flows.back().sender, sim::Time::milliseconds(200) * i,
-        o.bytes));
+  harness::ScenarioSpec spec;
+  spec.seed = o.seed;
+  spec.horizon = sim::Time::seconds(o.time_s);
+  if (o.red) {
+    net::RedConfig rc;
+    rc.buffer_packets = std::max<std::uint64_t>(o.buffer, 3);
+    rc.max_th = rc.buffer_packets * 0.8;
+    rc.min_th = rc.buffer_packets * 0.2;
+    rc.ecn = o.ecn;
+    rc.mean_pkt_tx = sim::Time::transmission(1000, 800'000);
+    spec.bottleneck = harness::QueueSpec::red_queue(rc);
+  } else {
+    spec.bottleneck = harness::QueueSpec::drop_tail(o.buffer);
   }
+  spec.add_flows(o.flows, {.variant = o.variant, .bytes = o.bytes, .tcp = tcfg},
+                 sim::Time::milliseconds(200));
+  harness::Scenario sc{spec};
 
-  const sim::Time horizon = sim::Time::seconds(o.time_s);
-  sim.run_until(horizon);
+  if (o.loss > 0)
+    sc.topology().bottleneck().set_loss_model(
+        std::make_unique<net::UniformLossModel>(o.loss, o.seed));
+  if (o.ack_loss > 0)
+    sc.topology().reverse_bottleneck().set_loss_model(
+        std::make_unique<net::UniformLossModel>(o.ack_loss, o.seed + 1,
+                                                /*data_only=*/false));
+  if (o.reorder > 0)
+    sc.topology().bottleneck().set_reorder_model(
+        std::make_unique<net::ReorderModel>(
+            o.reorder, sim::Time::milliseconds(300), o.seed + 2));
+  sc.run();
 
   stats::Table table{{"flow", "goodput (kbit/s)", "done", "rtx", "timeouts",
                       "ecn reductions"}};
   double total = 0;
   for (int i = 0; i < o.flows; ++i) {
-    const auto& st = flows[i].sender->stats();
+    const auto& st = sc.sender(i).stats();
     const double kbps =
-        flows[i].receiver->bytes_in_order() * 8.0 / o.time_s / 1e3;
+        sc.flow(i).receiver->bytes_in_order() * 8.0 / o.time_s / 1e3;
     total += kbps;
     table.add_row({stats::Table::cell("%d", i + 1),
                    stats::Table::cell("%.1f", kbps),
-                   flows[i].sender->complete() ? "yes" : "-",
+                   sc.sender(i).complete() ? "yes" : "-",
                    stats::Table::cell("%llu",
                                       static_cast<unsigned long long>(st.retransmissions)),
                    stats::Table::cell("%llu", static_cast<unsigned long long>(st.timeouts)),
@@ -170,9 +151,11 @@ int main(int argc, char** argv) {
               o.red ? (o.ecn ? "RED+ECN" : "RED") : "drop-tail",
               static_cast<unsigned long long>(o.buffer), o.time_s);
   table.print();
+  net::RedQueue* red = sc.red();
   std::printf("aggregate: %.1f of 800 kbit/s; bottleneck drops %llu%s\n",
               total,
-              static_cast<unsigned long long>(topo.bottleneck().queue().stats().dropped),
+              static_cast<unsigned long long>(
+                  sc.topology().bottleneck().queue().stats().dropped),
               red ? stats::Table::cell(", ECN marks %llu",
                                        static_cast<unsigned long long>(red->ecn_marks()))
                         .c_str()

@@ -28,11 +28,8 @@ class ScopedAudit {
               tcp::TcpReceiver* receiver = nullptr) {
     session_.attach(sender, receiver);
   }
-  void attach_queue(net::QueueDisc& queue, const char* name) {
-    session_.attach_queue(queue, name);
-  }
-  void attach_topology(net::DumbbellTopology& topo) {
-    session_.attach_topology(topo);
+  void attach_link(net::Link& link, const char* name) {
+    session_.attach_link(link, name);
   }
 
   static constexpr bool enabled() { return true; }
@@ -60,10 +57,8 @@ class ScopedAudit {
   void attach(Sender&, void* receiver = nullptr) {
     (void)receiver;
   }
-  template <typename Queue>
-  void attach_queue(Queue&, const char*) {}
-  template <typename Topo>
-  void attach_topology(Topo&) {}
+  template <typename Link>
+  void attach_link(Link&, const char*) {}
 
   static constexpr bool enabled() { return false; }
 };

@@ -145,13 +145,9 @@ void AuditSession::attach_queue(net::QueueDisc& queue, const char* name) {
   queue.set_observer(queue_auditors_.back().get());
 }
 
-void AuditSession::attach_topology(net::DumbbellTopology& topo) {
-  attach_queue(topo.bottleneck().queue(), "btl");
-  attach_queue(topo.reverse_bottleneck().queue(), "rbtl");
-  // Artificial (loss-model) drops on the data path also remove data copies
-  // from the pipe. The reverse bottleneck carries only ACKs — not tracked.
-  loss_links_.push_back(
-      {&topo.bottleneck(), topo.bottleneck().loss_model_drops()});
+void AuditSession::attach_link(net::Link& link, const char* name) {
+  attach_queue(link.queue(), name);
+  loss_links_.push_back({&link, link.loss_model_data_drops()});
 }
 
 void AuditSession::pipe_check(sim::Time t) {
@@ -169,7 +165,7 @@ void AuditSession::pipe_check(sim::Time t) {
     delivered += r.receiver->stats().data_packets - r.base_data_packets;
   for (const auto& q : queue_auditors_) dropped += q->data_drops();
   for (const auto& l : loss_links_)
-    dropped += l.link->loss_model_drops() - l.base_drops;
+    dropped += l.link->loss_model_data_drops() - l.base_drops;
   if (delivered + dropped > sent) {
     fail(InvariantId::kPipeConserve, t,
          "delivered=%llu + dropped=%llu > sent=%llu",

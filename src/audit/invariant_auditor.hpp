@@ -33,7 +33,7 @@
 #include "sim/assert.hpp"
 
 #include "core/rr_sender.hpp"
-#include "net/dumbbell.hpp"
+#include "net/link.hpp"
 #include "net/queue_disc.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
@@ -67,7 +67,7 @@ enum class InvariantId : std::uint8_t {
   kRrExitCwnd,       // exit hands cwnd exactly actnum * MSS
   kRrExitBurst,      // the exit ACK releases at most maxburst new packets
   kRrSsthreshHalve,  // entry sets ssthresh = max(2*MSS, win/2), then frozen
-  // Cross-layer pipe accounting (needs the receiver / topology attached).
+  // Cross-layer pipe accounting (needs the receiver / links attached).
   kPipeAccount,      // snd_una <= rcv_nxt (sender never outruns delivery)
   kPipeDormant,      // dormant bytes <= max_sent - rcv_nxt
   kPipeConserve,     // data copies in flight = sent - delivered - dropped >= 0
@@ -223,9 +223,9 @@ class AuditSession {
   // Attach accounting checks to a queue. `name` labels ring entries and must
   // outlive the session (string literals).
   void attach_queue(net::QueueDisc& queue, const char* name);
-  // Convenience: audit both bottleneck queues of a dumbbell and register the
-  // forward bottleneck's loss-model drops for pipe conservation.
-  void attach_topology(net::DumbbellTopology& topo);
+  // Audit a link: its queue (as attach_queue) plus the data packets its
+  // loss model drops, which leave the pipe as surely as queue drops do.
+  void attach_link(net::Link& link, const char* name);
 
   // Results.
   bool clean() const { return violations_.empty(); }
@@ -271,7 +271,7 @@ class AuditSession {
   std::vector<std::unique_ptr<InvariantAuditor>> sender_auditors_;
   std::vector<std::unique_ptr<QueueAuditor>> queue_auditors_;
   std::vector<ReceiverRef> receivers_;
-  std::vector<LossLinkRef> loss_links_;  // loss-model drops on data path
+  std::vector<LossLinkRef> loss_links_;  // audited links' loss-model drops
   bool pipe_enabled_ = true;  // false once a sender attaches w/o receiver
 };
 

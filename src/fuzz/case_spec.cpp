@@ -46,9 +46,9 @@ void materialize_dumbbell(const CaseSpec& cs, harness::ScenarioSpec* spec,
     spec->add_cbr(cbr);
   }
   if (points != nullptr) {
-    // Node-id layout of net::DumbbellTopology: R1 = 0, R2 = 1; the forward
-    // bottleneck is link 0, the reverse link 1 — same split the chaos soak
-    // uses.
+    // The layout the dumbbell spec resolves to (multi_dumbbell(n, n)):
+    // R1 = 0, R2 = 1; the forward bottleneck is link 0, the reverse link 1
+    // — same split the chaos soak uses.
     *points = {.data_node = 0, .data_link = 0, .ack_node = 1, .ack_link = 1};
   }
 }

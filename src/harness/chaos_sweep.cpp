@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "net/dumbbell.hpp"
 #include "sim/assert.hpp"
 
 namespace rrtcp::harness {
@@ -40,7 +39,7 @@ ChaosRunOutcome run_chaos_schedule(const chaos::FaultPlan& plan,
   const std::unique_ptr<Scenario> sc =
       Scenario::try_build(std::move(spec), &err);
   RRTCP_ASSERT_MSG(sc != nullptr, err.detail.c_str());
-  net::DumbbellTopology& topo = sc->topology();
+  DumbbellView topo = sc->topology();
 
   // Interpose one injector per direction; each applies its path's subset
   // of the plan. Both draw from the same plan seed via distinct stream

@@ -49,18 +49,13 @@ FlowInstruments& Instrumentation::attach(app::Flow& flow) {
   return *flows_.back();
 }
 
-void Instrumentation::attach_topology(net::DumbbellTopology& topo) {
-  if (gated_) gated_->attach_topology(topo);
-  if (recording_) recording_->attach_topology(topo);
-}
-
 void Instrumentation::attach_queues(topo::TopologyGraph& graph,
                                     const std::vector<int>& links) {
   for (int l : links) {
     const char* name = graph.spec().links.at(static_cast<std::size_t>(l))
                            .name.c_str();
-    if (gated_) gated_->attach_queue(graph.link(l).queue(), name);
-    if (recording_) recording_->attach_queue(graph.link(l).queue(), name);
+    if (gated_) gated_->attach_link(graph.link(l), name);
+    if (recording_) recording_->attach_link(graph.link(l), name);
   }
 }
 

@@ -6,7 +6,7 @@
 // after the flows exist, detach before they die, record vs abort mode by
 // context). Instrumentation owns that stack: construct it AFTER the flows
 // it will watch (so it destructs — and detaches — first), call
-// attach(flow) per flow and attach_topology(topo) once, and read the
+// attach(flow) per flow and attach_queues(graph, links) once, and read the
 // per-flow tracers back by index.
 //
 // Audit modes:
@@ -27,7 +27,6 @@
 #include "audit/audit.hpp"
 #include "audit/invariant_auditor.hpp"
 #include "chaos/watchdog.hpp"
-#include "net/dumbbell.hpp"
 #include "sim/simulator.hpp"
 #include "topo/graph.hpp"
 #include "stats/throughput.hpp"
@@ -70,12 +69,10 @@ class Instrumentation {
   // the watchdog monitor. Returns the flow's tracer bundle.
   FlowInstruments& attach(app::Flow& flow);
 
-  // Queue/topology-level audit checks (conservation, capacity). Call once.
-  void attach_topology(net::DumbbellTopology& topo);
-
-  // Graph-mode equivalent: audit the queues of the listed links, labeled
-  // with the links' names (owned by the graph, which must outlive this).
-  // Call once.
+  // Link-level audit checks: queue conservation and capacity on each
+  // listed link, and its loss-model data drops in pipe conservation.
+  // Labels are the links' names (owned by the graph, which must outlive
+  // this). Call once.
   void attach_queues(topo::TopologyGraph& graph,
                      const std::vector<int>& links);
 

@@ -6,33 +6,30 @@
 
 #include "app/flow_factory.hpp"
 #include "harness/sweep.hpp"
-#include "net/drop_tail.hpp"
 #include "sim/assert.hpp"
+#include "topo/presets.hpp"
 
 namespace rrtcp::harness {
 
 namespace {
 
-// Translates a QueueSpec into the sim-capturing factory DumbbellConfig
-// wants. `red_out`, when the spec picks RED, receives the built queue.
-std::function<std::unique_ptr<net::QueueDisc>()> make_queue_factory(
-    const QueueSpec& qs, sim::Simulator& sim, std::uint64_t seed,
-    net::RedQueue** red_out) {
+// Puts a QueueSpec's discipline on a link of the resolved graph. RED
+// drop decisions draw from `seed`.
+void set_queue(const QueueSpec& qs, std::uint64_t seed, topo::LinkSpec& link) {
   switch (qs.kind) {
     case QueueSpec::Kind::kDropTail:
-      return [cap = qs.capacity_packets] {
-        return std::make_unique<net::DropTailQueue>(cap);
+      link.queue_packets = qs.capacity_packets;
+      return;
+    case QueueSpec::Kind::kRed: {
+      net::RedConfig rc = qs.red;
+      rc.seed = seed;
+      link.make_queue = [rc](sim::Simulator& sim) {
+        return std::make_unique<net::RedQueue>(sim, rc);
       };
-    case QueueSpec::Kind::kRed:
-      return [&sim, rc = qs.red, seed, red_out]() mutable {
-        rc.seed = seed;
-        auto q = std::make_unique<net::RedQueue>(sim, rc);
-        if (red_out) *red_out = q.get();
-        return q;
-      };
+      return;
+    }
   }
   RRTCP_ASSERT_MSG(false, "unreachable");
-  return {};
 }
 
 // Breadth-first reachability over a GraphSpec's directed links — the same
@@ -88,41 +85,14 @@ std::optional<SpecError> Scenario::validate(const ScenarioSpec& spec) {
     return std::optional<SpecError>{SpecError{c, std::move(d)}};
   };
 
-  if (!spec.flow_sets.empty()) {
-    // Validate what will actually be built.
-    ScenarioSpec expanded = spec;
-    expanded.expand_flow_sets();
-    return validate(expanded);
-  }
+  if (!spec.flow_sets.empty() || (spec.graph.empty() && !spec.flows.empty()))
+    return validate(resolve(spec));  // what will actually be built
 
   if (spec.flows.empty())
     return fail(SpecError::Code::kNoFlows, "scenario has no flows");
   if (spec.horizon <= sim::Time::zero())
     return fail(SpecError::Code::kBadHorizon, "horizon must be > 0");
 
-  if (spec.graph.empty()) {
-    // Dumbbell mode: the preset wires the graph itself, so only the rate
-    // knobs can be structurally wrong.
-    if (spec.topology.bottleneck_bps <= 0)
-      return fail(SpecError::Code::kBadRate, "bottleneck_bps must be > 0");
-    if (spec.topology.side_bps <= 0)
-      return fail(SpecError::Code::kBadRate, "side_bps must be > 0");
-    if (spec.topology.reverse_bps < 0)
-      return fail(SpecError::Code::kBadRate, "reverse_bps must be >= 0");
-    for (std::size_t j = 0; j < spec.cross_traffic.size(); ++j) {
-      const CbrSpec& cs = spec.cross_traffic[j];
-      if (cs.packet_bytes == 0)
-        return fail(SpecError::Code::kBadCbr,
-                    "cbr " + std::to_string(j) + ": packet_bytes must be > 0");
-      if (cs.load_fraction <= 0.0 && cs.rate_bps <= 0)
-        return fail(SpecError::Code::kBadCbr,
-                    "cbr " + std::to_string(j) +
-                        ": needs load_fraction or rate_bps > 0");
-    }
-    return std::nullopt;
-  }
-
-  // Graph mode.
   const topo::GraphSpec& g = spec.graph;
   const int n = g.n_nodes();
   for (std::size_t i = 0; i < g.links.size(); ++i) {
@@ -169,7 +139,7 @@ std::optional<SpecError> Scenario::validate(const ScenarioSpec& spec) {
     if (cs.rate_bps <= 0)
       return fail(SpecError::Code::kBadCbr,
                   "cbr " + std::to_string(j) +
-                      ": graph mode needs explicit rate_bps > 0");
+                      ": rate_bps must be > 0");
     if (cs.packet_bytes == 0)
       return fail(SpecError::Code::kBadCbr,
                   "cbr " + std::to_string(j) + ": packet_bytes must be > 0");
@@ -182,6 +152,58 @@ std::optional<SpecError> Scenario::validate(const ScenarioSpec& spec) {
   return std::nullopt;
 }
 
+ScenarioSpec Scenario::resolve(ScenarioSpec spec) {
+  spec.expand_flow_sets();
+  // CBR streams ride extra host pairs appended after the TCP flows', so a
+  // spec without cross-traffic builds the paper's exact dumbbell.
+  const int n_tcp = static_cast<int>(spec.flows.size());
+  const int n_cbr = static_cast<int>(spec.cross_traffic.size());
+  if (!spec.graph.empty() || n_tcp + n_cbr == 0) return spec;
+
+  topo::MultiDumbbellConfig mdc;
+  mdc.n_senders = n_tcp + n_cbr;
+  mdc.m_receivers = n_tcp + n_cbr;
+  mdc.bottleneck_bps = spec.topology.bottleneck_bps;
+  mdc.bottleneck_delay = spec.topology.bottleneck_delay;
+  mdc.side_bps = spec.topology.side_bps;
+  mdc.side_delay = spec.topology.side_delay;
+  topo::MultiDumbbellLayout md = topo::multi_dumbbell(mdc);
+  std::vector<topo::LinkSpec>& links = md.spec.links;
+  const auto fwd = static_cast<std::size_t>(md.bottleneck_link);
+  const auto rev = static_cast<std::size_t>(md.reverse_bottleneck_link);
+  set_queue(spec.bottleneck, spec.seed, links[fwd]);
+  if (spec.reverse_bottleneck) {
+    // A distinct derived seed keeps a reverse RED queue's drop RNG
+    // independent of the forward one's.
+    set_queue(*spec.reverse_bottleneck, derive_seed(spec.seed, 1),
+              links[rev]);
+  }
+
+  // Place each flow and CBR stream on its host pair: S_i -> K_i, or
+  // K_i -> S_i when it rides the reverse path.
+  auto place = [&md](bool reverse, int pair, int* src, int* dst) {
+    const int s = md.senders[static_cast<std::size_t>(pair)];
+    const int k = md.receivers[static_cast<std::size_t>(pair)];
+    *src = reverse ? k : s;
+    *dst = reverse ? s : k;
+  };
+  for (int i = 0; i < n_tcp; ++i) {
+    FlowSpec& fs = spec.flows[static_cast<std::size_t>(i)];
+    place(fs.reverse, i, &fs.src_node, &fs.dst_node);
+  }
+  for (int j = 0; j < n_cbr; ++j) {
+    CbrSpec& cs = spec.cross_traffic[static_cast<std::size_t>(j)];
+    place(cs.reverse, n_tcp + j, &cs.src_node, &cs.dst_node);
+    if (cs.load_fraction > 0)
+      cs.rate_bps = static_cast<std::int64_t>(
+          cs.load_fraction *
+          static_cast<double>(links[cs.reverse ? rev : fwd].bandwidth_bps));
+  }
+  spec.graph = std::move(md.spec);
+  spec.audited_links = {md.bottleneck_link, md.reverse_bottleneck_link};
+  return spec;
+}
+
 std::unique_ptr<Scenario> Scenario::try_build(ScenarioSpec spec,
                                               SpecError* err) {
   if (std::optional<SpecError> e = validate(spec)) {
@@ -192,8 +214,7 @@ std::unique_ptr<Scenario> Scenario::try_build(ScenarioSpec spec,
 }
 
 Scenario::Scenario(ScenarioSpec spec, std::vector<int> node_engine)
-    : spec_{std::move(spec)} {
-  spec_.expand_flow_sets();
+    : dumbbell_{spec.graph.empty()}, spec_{resolve(std::move(spec))} {
   RRTCP_ASSERT_MSG(!spec_.flows.empty(), "scenario needs at least one flow");
 
   // Engine-tier selection must precede every schedule (the hook asserts
@@ -213,25 +234,27 @@ Scenario::Scenario(ScenarioSpec spec, std::vector<int> node_engine)
                                       !spec_.instruments.watchdog),
                    "flow_maker, audit and watchdog need a single engine");
 
-  if (spec_.graph.empty()) {
-    RRTCP_ASSERT_MSG(node_engine.empty(), "dumbbell mode runs on one engine");
-    build_dumbbell();
-  } else {
-    std::vector<sim::Simulator*> node_sim(spec_.graph.nodes.size(), &sim());
-    if (!node_engine.empty()) {
-      RRTCP_ASSERT_MSG(node_engine.size() == node_sim.size(),
-                       "one engine index per graph node");
-      for (std::size_t v = 0; v < node_sim.size(); ++v)
-        node_sim[v] = &engine(node_engine[v]);
-    }
-    graph_ = std::make_unique<topo::TopologyGraph>(std::move(node_sim),
-                                                   spec_.graph);
+  std::vector<sim::Simulator*> node_sim(spec_.graph.nodes.size(), &sim());
+  if (!node_engine.empty()) {
+    RRTCP_ASSERT_MSG(node_engine.size() == node_sim.size(),
+                     "one engine index per graph node");
+    for (std::size_t v = 0; v < node_sim.size(); ++v)
+      node_sim[v] = &engine(node_engine[v]);
+  }
+  graph_ = std::make_unique<topo::TopologyGraph>(std::move(node_sim),
+                                                 spec_.graph);
+  if (dumbbell_) {
+    if (spec_.bottleneck.kind == QueueSpec::Kind::kRed)
+      red_ = static_cast<net::RedQueue*>(&graph_->link(0).queue());
+    if (spec_.reverse_bottleneck &&
+        spec_.reverse_bottleneck->kind == QueueSpec::Kind::kRed)
+      reverse_red_ = static_cast<net::RedQueue*>(&graph_->link(1).queue());
   }
 
-  // Every endpoint is a graph node index from here on, and every object
-  // lives on the engine of the node it sits on. Flows first, then CBR,
-  // then the FTP/ON-OFF sources: CBR and the sources schedule their start
-  // on construction, and that order is pinned by the golden traces.
+  // Every object lives on the engine of the node it sits on. Flows first,
+  // then CBR, then the FTP/ON-OFF sources: CBR and the sources schedule
+  // their start on construction, and that order is pinned by the golden
+  // traces.
   topo::TopologyGraph& g = graph();
   flows_.reserve(spec_.flows.size());
   for (std::size_t i = 0; i < spec_.flows.size(); ++i) {
@@ -294,59 +317,18 @@ Scenario::Scenario(ScenarioSpec spec, std::vector<int> node_engine)
   instrumentation_ =
       std::make_unique<Instrumentation>(sim(), spec_.instruments);
   for (app::Flow& f : flows_) instrumentation_->attach(f);
-  if (topo_) {
-    instrumentation_->attach_topology(*topo_);
-  } else {
-    instrumentation_->attach_queues(*graph_, spec_.audited_links);
-  }
+  instrumentation_->attach_queues(*graph_, spec_.audited_links);
+}
+
+DumbbellView Scenario::topology() {
+  RRTCP_ASSERT_MSG(dumbbell_, "topology() needs a dumbbell-mode spec");
+  return DumbbellView{*graph_};
 }
 
 std::uint64_t Scenario::run_until(sim::Time deadline) {
   RRTCP_ASSERT_MSG(engines_.size() == 1,
                    "a partitioned scenario runs on pdes::ShardedScenario");
   return sim().run_until(deadline);
-}
-
-void Scenario::build_dumbbell() {
-  // CBR streams ride extra host pairs appended after the TCP flows', so
-  // a spec without cross-traffic builds the exact seed topology.
-  const int n_tcp = static_cast<int>(spec_.flows.size());
-  const int n_cbr = static_cast<int>(spec_.cross_traffic.size());
-
-  net::DumbbellConfig netcfg = spec_.topology;
-  netcfg.n_flows = n_tcp + n_cbr;
-  netcfg.make_bottleneck_queue =
-      make_queue_factory(spec_.bottleneck, sim(), spec_.seed, &red_);
-  if (spec_.reverse_bottleneck) {
-    // A distinct derived seed keeps a reverse RED queue's drop RNG
-    // independent of the forward one's.
-    netcfg.make_reverse_queue =
-        make_queue_factory(*spec_.reverse_bottleneck, sim(),
-                           derive_seed(spec_.seed, 1), &reverse_red_);
-  }
-  topo_ = std::make_unique<net::DumbbellTopology>(sim(), netcfg);
-
-  // Place each flow and CBR stream on its host pair: S_i -> K_i, or
-  // K_i -> S_i when it rides the reverse path.
-  auto place = [this](bool reverse, int pair, int* src, int* dst) {
-    *src = reverse ? topo_->receiver_index(pair) : topo_->sender_index(pair);
-    *dst = reverse ? topo_->sender_index(pair) : topo_->receiver_index(pair);
-  };
-  for (int i = 0; i < n_tcp; ++i) {
-    FlowSpec& fs = spec_.flows[static_cast<std::size_t>(i)];
-    place(fs.reverse, i, &fs.src_node, &fs.dst_node);
-  }
-  const std::int64_t rev_bps = netcfg.reverse_bps > 0
-                                   ? netcfg.reverse_bps
-                                   : netcfg.bottleneck_bps;
-  for (int j = 0; j < n_cbr; ++j) {
-    CbrSpec& cs = spec_.cross_traffic[static_cast<std::size_t>(j)];
-    place(cs.reverse, n_tcp + j, &cs.src_node, &cs.dst_node);
-    if (cs.load_fraction > 0)
-      cs.rate_bps = static_cast<std::int64_t>(
-          cs.load_fraction *
-          static_cast<double>(cs.reverse ? rev_bps : netcfg.bottleneck_bps));
-  }
 }
 
 }  // namespace rrtcp::harness

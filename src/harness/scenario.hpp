@@ -18,18 +18,19 @@
 //   sc.run();
 //   ... sc.instruments(0).meter->throughput_bps(...) ...
 //
-// Two topology modes:
+// Two ways to give the topology, one way to build it:
 //   Dumbbell (default, spec.graph empty) — the paper's Figure 4 around
-//   spec.topology; flows are placed on consecutive host pairs (Scenario
-//   writes those node indices into its spec's src_node/dst_node, so the
-//   rest of the build is the graph path). The reverse
-//   bottleneck is first-class: spec.reverse_bottleneck picks its queue, and
-//   FlowSpec.reverse / CbrSpec.reverse place load on the ACK path.
+//   spec.topology. Scenario::resolve() turns it into graph form before
+//   anything is built: the flows and CBR streams go on host pairs of
+//   topo::multi_dumbbell(n, n) (S_i -> K_i, or K_i -> S_i for
+//   FlowSpec.reverse / CbrSpec.reverse, which load the ACK path), the
+//   spec.bottleneck and spec.reverse_bottleneck queues go on links 0 and 1,
+//   and audited_links becomes {0, 1}.
 //   Graph (spec.graph non-empty) — any topo::GraphSpec (parking lot, N x M
 //   dumbbell, hand-built). Flows and CBR streams name their src/dst node
-//   indices; spec.audited_links lists the link queues the audit layer
-//   watches. Queue disciplines ride inside the GraphSpec's per-link
-//   factories, so spec.bottleneck is ignored in this mode.
+//   indices; spec.audited_links lists the links the audit layer watches.
+//   Queue disciplines ride inside the GraphSpec's per-link factories, so
+//   spec.bottleneck is ignored in this mode.
 //
 // Engines: a Scenario runs on one simulator unless it is given a per-node
 // engine assignment (pdes::ShardedScenario passes its partition's
@@ -53,7 +54,6 @@
 #include "app/ftp.hpp"
 #include "app/variant.hpp"
 #include "harness/instrumentation.hpp"
-#include "net/dumbbell.hpp"
 #include "net/red.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/types.hpp"
@@ -63,9 +63,8 @@
 
 namespace rrtcp::harness {
 
-// Bottleneck queue selection, as data. The sim-capturing factory function
-// in DumbbellConfig cannot live in a value-type spec (it would dangle);
-// Scenario translates this into one at build time.
+// Bottleneck queue selection, as data. Scenario::resolve() turns it into
+// the bottleneck LinkSpec's queue_packets or make_queue.
 struct QueueSpec {
   enum class Kind { kDropTail, kRed };
   Kind kind = Kind::kDropTail;
@@ -170,21 +169,30 @@ const char* to_string(SpecError::Code c);
 // threads.
 inline constexpr int kMaxShardCount = 64;
 
+// Dumbbell-mode link parameters (Table 3 defaults). The reverse
+// bottleneck mirrors the forward one's rate and delay; every buffer but
+// the two bottlenecks' is a lossless 10'000-packet drop-tail queue. Other
+// shapes are edits of the resolved GraphSpec (Scenario::resolve).
+struct DumbbellSpec {
+  std::int64_t bottleneck_bps = 800'000;
+  sim::Time bottleneck_delay = sim::Time::milliseconds(100);  // one-way
+  std::int64_t side_bps = 10'000'000;
+  sim::Time side_delay = sim::Time::zero();
+};
+
 struct ScenarioSpec {
   std::string name = "scenario";
-  // Dumbbell-mode topology knobs (bandwidths, delays, side buffers,
-  // per-flow RTT overrides). n_flows and make_bottleneck_queue are
-  // overwritten at build time from the flow/cross-traffic lists and
-  // `bottleneck`.
-  net::DumbbellConfig topology = {};
+  // Dumbbell mode: the links around the flows.
+  DumbbellSpec topology = {};
   QueueSpec bottleneck = {};
   // Dumbbell mode: queue discipline of the reverse (ACK-path) bottleneck.
-  // nullopt keeps the deep default drop-tail buffer
-  // (topology.reverse_queue_packets); set it to make ACK-path drops real.
+  // nullopt keeps the deep 10'000-packet drop-tail buffer; set it to make
+  // ACK-path drops real.
   std::optional<QueueSpec> reverse_bottleneck = std::nullopt;
   // Graph mode: a non-empty GraphSpec replaces the dumbbell entirely.
   topo::GraphSpec graph;
-  // Graph mode: link indices whose queues the audit layer should watch.
+  // Graph mode: link indices the audit layer should watch (queues and
+  // loss-model drops).
   std::vector<int> audited_links;
   std::vector<FlowSpec> flows;
   // Aggregate flow groups, expanded (appended to `flows`, in order) by
@@ -260,22 +268,44 @@ struct ScenarioSpec {
   }
 };
 
+// The dumbbell a dumbbell-mode spec resolved to, as a view over the built
+// graph: multi_dumbbell's R1 = node 0, R2 = node 1, forward bottleneck
+// R1->R2 = link 0, reverse bottleneck R2->R1 = link 1.
+class DumbbellView {
+ public:
+  explicit DumbbellView(topo::TopologyGraph& g) : g_{&g} {}
+  net::Link& bottleneck() { return g_->link(0); }          // data
+  net::Link& reverse_bottleneck() { return g_->link(1); }  // ACKs
+  net::Node& r1() { return g_->node(0); }
+  net::Node& r2() { return g_->node(1); }
+
+ private:
+  topo::TopologyGraph* g_;
+};
+
 class Scenario {
  public:
-  // `node_engine`, when non-empty, assigns each graph node an engine index
-  // (engines 0..max are created); empty runs everything on one engine.
-  // Several engines require graph mode, no flow_maker, no audit and no
+  // `node_engine`, when non-empty, assigns each node of the resolved graph
+  // an engine index (engines 0..max are created); empty runs everything on
+  // one engine. Several engines require no flow_maker, no audit and no
   // watchdog: those observe a flow from one simulator.
   explicit Scenario(ScenarioSpec spec, std::vector<int> node_engine = {});
 
   // Structural validation of a spec WITHOUT building anything: empty flow
   // set, non-positive rates, out-of-range link/flow/CBR endpoints,
   // unroutable src/dst pairs (BFS over the GraphSpec, both directions —
-  // ACKs must get home too). Returns nullopt when the spec is buildable.
+  // ACKs must get home too). A dumbbell spec is checked in its resolved
+  // form. Returns nullopt when the spec is buildable.
   // The constructor still asserts on these as a backstop; generated specs
   // go through here (or try_build) so a bad sample is a discard, not a
   // crash.
   static std::optional<SpecError> validate(const ScenarioSpec& spec);
+
+  // The spec as it will be built: flow sets expanded and, for a dumbbell
+  // spec, the graph form described at the top of this file. A spec
+  // without a flow or CBR stream stays a dumbbell spec (validate rejects
+  // it). Pure: builds nothing, and the result is a plain graph-mode spec.
+  static ScenarioSpec resolve(ScenarioSpec spec);
 
   // validate() + construct: nullptr (with *err filled when non-null) on a
   // rejected spec, the built scenario otherwise.
@@ -288,13 +318,9 @@ class Scenario {
   sim::Simulator& engine(int e) {
     return *engines_.at(static_cast<std::size_t>(e));
   }
-  // Dumbbell mode only.
-  net::DumbbellTopology& topology() { return *topo_; }
-  // The underlying graph, in either mode.
-  topo::TopologyGraph& graph() {
-    return graph_ ? *graph_ : topo_->graph();
-  }
-  bool graph_mode() const { return graph_ != nullptr; }
+  // Dumbbell-mode specs only (asserts otherwise).
+  DumbbellView topology();
+  topo::TopologyGraph& graph() { return *graph_; }
 
   int n_flows() const { return static_cast<int>(flows_.size()); }
   app::Flow& flow(int i) { return flows_.at(static_cast<std::size_t>(i)); }
@@ -332,18 +358,14 @@ class Scenario {
   std::uint64_t run() { return run_until(spec_.horizon); }
   std::uint64_t run_until(sim::Time deadline);
 
-  // The spec as built: flow sets expanded and, in dumbbell mode, every
-  // flow and CBR stream placed on its host pair's node indices (CBR load
-  // fractions resolved to rate_bps).
+  // The spec as built: resolve() of the one given.
   const ScenarioSpec& spec() const { return spec_; }
 
  private:
-  void build_dumbbell();
-
+  bool dumbbell_;  // the given spec was a dumbbell spec
   ScenarioSpec spec_;
   std::vector<std::unique_ptr<sim::Simulator>> engines_;
-  std::unique_ptr<net::DumbbellTopology> topo_;   // dumbbell mode
-  std::unique_ptr<topo::TopologyGraph> graph_;    // graph mode
+  std::unique_ptr<topo::TopologyGraph> graph_;
   net::RedQueue* red_ = nullptr;
   net::RedQueue* reverse_red_ = nullptr;
   std::vector<app::Flow> flows_;

@@ -16,7 +16,7 @@ Link::Link(sim::Simulator& sim, LinkConfig cfg,
 
 void Link::send(Packet p) {
   if (loss_ && loss_->should_drop(p, sim_.now())) {
-    ++loss_drops_;
+    if (p.is_data()) ++loss_data_drops_;
     RRTCP_TRACE(sim_.now(), cfg_.name.c_str(), "loss-model drop %s",
                 p.to_string().c_str());
     return;

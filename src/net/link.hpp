@@ -88,7 +88,9 @@ class Link final : public PacketHandler {
   // Statistics.
   std::uint64_t packets_delivered() const { return delivered_; }
   std::uint64_t bytes_delivered() const { return bytes_delivered_; }
-  std::uint64_t loss_model_drops() const { return loss_drops_; }
+  // Data packets the loss model dropped (ACKs and CBR are not counted):
+  // the data copies the pipe-conservation audit must see leave the network.
+  std::uint64_t loss_model_data_drops() const { return loss_data_drops_; }
   // Fraction of [0, now] the transmitter spent busy.
   double utilization(sim::Time now) const;
 
@@ -106,7 +108,7 @@ class Link final : public PacketHandler {
   bool busy_ = false;
   std::uint64_t delivered_ = 0;
   std::uint64_t bytes_delivered_ = 0;
-  std::uint64_t loss_drops_ = 0;
+  std::uint64_t loss_data_drops_ = 0;
   sim::Time busy_time_ = sim::Time::zero();
 };
 

@@ -8,10 +8,9 @@
 // link index — the same spec always yields the same forwarding tables).
 //
 // This is the layer that generalizes the paper's two-router dumbbell into
-// parking-lot / multi-bottleneck / NxM topologies; DumbbellTopology
-// (net/dumbbell.hpp) is now a thin preset on top of it, and
-// topo::ParkingLotTopology (topo/presets.hpp) is the canonical
-// multi-bottleneck chain. Forwarding stays on the pooled simulator fast
+// parking-lot / multi-bottleneck / NxM topologies. The presets in
+// topo/presets.hpp emit GraphSpecs: the paper's dumbbell is
+// multi_dumbbell(n, n), the canonical multi-bottleneck chain parking_lot. Forwarding stays on the pooled simulator fast
 // path: route resolution is the same per-destination table lookup in
 // net::Node the dumbbell always used, so the 0-allocs/packet guarantee of
 // DESIGN.md §11 holds for any graph.

@@ -1,11 +1,12 @@
-// Canonical topology presets beyond the paper's dumbbell.
+// Canonical topology presets.
 //
 // Presets are spec factories: they return a GraphSpec plus the node/link
 // indices a driver needs to place flows — a plain value that can ride
 // inside a harness::ScenarioSpec, be mutated per grid point, or be built
-// directly into a TopologyGraph. The dumbbell preset itself lives in
-// net/dumbbell.hpp (kept there for source compatibility); these are the
-// multi-bottleneck shapes the related work stresses RR with.
+// directly into a TopologyGraph. multi_dumbbell(n, n) is the paper's
+// Figure 4 dumbbell (a dumbbell-mode ScenarioSpec resolves to it); the
+// parking lot is the multi-bottleneck shape the related work stresses RR
+// with.
 #pragma once
 
 #include <functional>
@@ -35,7 +36,7 @@ struct ParkingLotConfig {
   std::uint64_t queue_packets = 8;  // each forward bottleneck buffer
   // Optional per-hop queue factory (e.g. RED); wins over queue_packets.
   std::function<std::unique_ptr<net::QueueDisc>(sim::Simulator&)>
-      make_bottleneck_queue;
+      make_bottleneck_queue = {};
   std::uint64_t reverse_queue_packets = 10'000;
   std::uint64_t side_queue_packets = 10'000;
 };
@@ -52,10 +53,18 @@ struct ParkingLotLayout {
 
 ParkingLotLayout parking_lot(const ParkingLotConfig& cfg);
 
-// N x M dumbbell: N sender hosts and M receiver hosts (N need not equal M)
-// around one bottleneck pair — the shape for many-flows-few-sinks
-// aggregation scenarios (mean-field RED regimes run hundreds of senders
-// into a handful of sinks).
+// N x M dumbbell: N sender hosts and M receiver hosts around one
+// bottleneck pair. N = M is the paper's Figure 4 with Table 3 defaults;
+// N > M is the many-flows-few-sinks aggregation shape (mean-field RED
+// regimes run hundreds of senders into a handful of sinks).
+//
+//   S1 ---\                      /--- K1
+//   S2 ----+-- R1 ======= R2 ---+---- K2
+//   SN ---/    (bottleneck)      \--- KM
+//
+// Layout: nodes R1 = 0, R2 = 1, S1..SN, K1..KM; links R1->R2 = 0 (the
+// queue under test), R2->R1 = 1 (the ACK path, deep drop-tail), then
+// S_i->R1, R1->S_i per sender and K_j->R2, R2->K_j per receiver.
 struct MultiDumbbellConfig {
   int n_senders = 4;
   int m_receivers = 2;
@@ -65,7 +74,7 @@ struct MultiDumbbellConfig {
   sim::Time side_delay = sim::Time::zero();
   std::uint64_t queue_packets = 8;
   std::function<std::unique_ptr<net::QueueDisc>(sim::Simulator&)>
-      make_bottleneck_queue;
+      make_bottleneck_queue = {};
   std::uint64_t reverse_queue_packets = 10'000;
   std::uint64_t side_queue_packets = 10'000;
 };

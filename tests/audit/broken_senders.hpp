@@ -96,4 +96,40 @@ class BrokenSsthreshSender : public core::RrSender {
   }
 };
 
+// Bug: hides a transmission from its observers — on entering recovery it
+// sends the fast retransmission twice, and the second copy goes straight
+// to the environment instead of through the observed send path. Every
+// copy is still delivered or dropped in the network, so the data leaving
+// the pipe outgrows the data the audit saw enter it.
+// Expected catch: PIPE_CONSERVE — once the copies a loss model dropped on
+// an audited link are counted as having left the pipe.
+class BrokenHiddenRetransmitSender : public core::RrSender {
+ public:
+  BrokenHiddenRetransmitSender(sim::Simulator& sim, net::Node& node,
+                               net::FlowId flow, net::NodeId dst,
+                               tcp::TcpConfig cfg = {})
+      : core::RrSender{sim, node, flow, dst, cfg}, flow_{flow} {}
+
+ protected:
+  void handle_dup_ack(const net::TcpHeader& h) override {
+    const bool was = in_recovery();
+    core::RrSender::handle_dup_ack(h);
+    if (was || !in_recovery()) return;
+    net::Packet p;
+    p.uid = net::next_packet_uid();
+    p.flow = flow_;
+    p.src = env_.local_id();
+    p.dst = env_.peer_id();
+    p.type = net::PacketType::kData;
+    p.size_bytes = config().mss;
+    p.tcp.seq = snd_una();
+    p.tcp.payload = segment_len_at(snd_una());
+    p.sent_at = env_.now();
+    env_.send(std::move(p));
+  }
+
+ private:
+  net::FlowId flow_;
+};
+
 }  // namespace rrtcp::test

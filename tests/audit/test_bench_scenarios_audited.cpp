@@ -8,14 +8,10 @@
 #include <memory>
 #include <vector>
 
-#include "app/flow_factory.hpp"
-#include "app/ftp.hpp"
 #include "audit/invariant_auditor.hpp"
-#include "net/drop_tail.hpp"
-#include "net/dumbbell.hpp"
+#include "harness/scenario.hpp"
 #include "net/loss_model.hpp"
 #include "net/red.hpp"
-#include "sim/simulator.hpp"
 
 namespace rrtcp::audit {
 namespace {
@@ -25,42 +21,30 @@ struct AuditedScenario {
   std::optional<std::uint64_t> bytes = 100'000;
   sim::Time stagger = sim::Time::zero();
   sim::Time horizon = sim::Time::seconds(60);
-  // Bottleneck queue factory (default: the topology's drop-tail).
-  std::function<std::unique_ptr<net::QueueDisc>(sim::Simulator&)> make_queue;
+  harness::QueueSpec queue = {};  // default: the paper's drop-tail 8
   std::function<std::unique_ptr<net::LossModel>()> make_loss;
   std::function<std::unique_ptr<net::LossModel>()> make_ack_loss;
 };
 
-// Builds the paper dumbbell, runs it with a recording session attached to
-// every flow and both bottleneck queues, and returns the session verdict.
+// Runs the paper dumbbell with a recording session attached to every flow
+// and both bottleneck links, and returns the session verdict.
 std::uint64_t audited_violations(const AuditedScenario& s) {
-  sim::Simulator sim;
-  net::DumbbellConfig netcfg;
-  netcfg.n_flows = static_cast<int>(s.variants.size());
-  if (s.make_queue)
-    netcfg.make_bottleneck_queue = [&] { return s.make_queue(sim); };
-  net::DumbbellTopology topo{sim, netcfg};
-  if (s.make_loss) topo.bottleneck().set_loss_model(s.make_loss());
+  harness::ScenarioSpec spec;
+  spec.horizon = s.horizon;
+  spec.bottleneck = s.queue;
+  spec.instruments.tracers = false;
+  spec.instruments.audit = harness::AuditMode::kRecord;
+  for (std::size_t i = 0; i < s.variants.size(); ++i)
+    spec.add_flow({.variant = s.variants[i],
+                   .start = s.stagger * static_cast<std::int64_t>(i),
+                   .bytes = s.bytes});
+  harness::Scenario sc{spec};
+  if (s.make_loss) sc.topology().bottleneck().set_loss_model(s.make_loss());
   if (s.make_ack_loss)
-    topo.reverse_bottleneck().set_loss_model(s.make_ack_loss());
+    sc.topology().reverse_bottleneck().set_loss_model(s.make_ack_loss());
 
-  std::vector<app::Flow> flows;
-  std::vector<std::unique_ptr<app::FtpSource>> sources;
-  for (std::size_t i = 0; i < s.variants.size(); ++i) {
-    flows.push_back(app::make_flow(
-        s.variants[i], sim, topo.sender_node(static_cast<int>(i)),
-        topo.receiver_node(static_cast<int>(i)),
-        static_cast<net::FlowId>(i + 1), {}));
-    sources.push_back(std::make_unique<app::FtpSource>(
-        sim, *flows.back().sender, s.stagger * static_cast<std::int64_t>(i),
-        s.bytes));
-  }
-
-  AuditSession session{sim, AuditSession::FailMode::kRecord};
-  session.attach_topology(topo);
-  for (auto& f : flows) session.attach(*f.sender, f.receiver.get());
-
-  sim.run_until(s.horizon);
+  sc.run();
+  AuditSession& session = *sc.instrumentation().recording_session();
   if (!session.clean()) session.dump(stderr);
   return session.total_violations();
 }
@@ -92,10 +76,7 @@ TEST(BenchScenariosAudited, Fig6RedGatewayCompetingFlows) {
                 app::Variant::kNewReno};
   s.bytes = std::nullopt;  // long-lived
   s.horizon = sim::Time::seconds(8);
-  s.make_queue = [](sim::Simulator& sim) {
-    net::RedConfig rc;  // Table 4 values are the defaults
-    return std::make_unique<net::RedQueue>(sim, rc);
-  };
+  s.queue = harness::QueueSpec::red_queue({});  // Table 4 defaults
   EXPECT_EQ(audited_violations(s), 0u);
 }
 

@@ -10,6 +10,8 @@
 #include "audit/invariant_auditor.hpp"
 #include "broken_senders.hpp"
 #include "core/rr_sender.hpp"
+#include "harness/scenario.hpp"
+#include "net/loss_model.hpp"
 
 namespace rrtcp::audit {
 namespace {
@@ -111,6 +113,39 @@ TEST(MutationChecks, CleanSenderTimeoutAbortIsViolationFree) {
   ASSERT_GE(a.h.sender().stats().timeouts, 1u);
   if (!a.session.clean()) a.session.dump(stderr);
   EXPECT_TRUE(a.session.clean());
+}
+
+// Loss-model drops on an audited link are part of pipe conservation: a
+// six-packet burst dropped at the forward bottleneck leaves the pipe as
+// surely as a queue drop. The mutant's one unreported copy is then an
+// excess delivery; were the six loss drops not counted, they would mask it.
+TEST(MutationChecks, HiddenRetransmissionTripsPipeConserveViaLinkLoss) {
+  harness::ScenarioSpec spec;
+  spec.horizon = sim::Time::seconds(30);
+  spec.bottleneck = harness::QueueSpec::drop_tail(100);  // no queue drops
+  spec.instruments.tracers = false;
+  spec.instruments.audit = harness::AuditMode::kRecord;
+  spec.add_flow({.variant = app::Variant::kRr, .bytes = 100'000});
+  spec.flow_maker = [](sim::Simulator& sim, net::Node& snd, net::Node& rcv,
+                       net::FlowId flow, const harness::FlowSpec& fs) {
+    app::Flow f;
+    f.sender = std::make_unique<test::BrokenHiddenRetransmitSender>(
+        sim, snd, flow, rcv.id(), fs.tcp);
+    f.receiver = std::make_unique<tcp::TcpReceiver>(sim, rcv, flow, snd.id());
+    return f;
+  };
+  harness::Scenario sc{spec};
+  std::vector<std::pair<net::FlowId, std::uint64_t>> burst;
+  for (std::uint64_t k = 0; k < 6; ++k) burst.emplace_back(1, (30 + k) * 1000);
+  sc.topology().bottleneck().set_loss_model(
+      std::make_unique<net::ListLossModel>(burst));
+  sc.run();
+
+  ASSERT_TRUE(sc.sender(0).complete());
+  EXPECT_EQ(sc.topology().bottleneck().loss_model()->drops(), 6u);
+  EXPECT_EQ(sc.topology().bottleneck().queue().stats().dropped, 0u);
+  const AuditSession& session = *sc.instrumentation().recording_session();
+  EXPECT_GT(session.count(InvariantId::kPipeConserve), 0u);
 }
 
 }  // namespace

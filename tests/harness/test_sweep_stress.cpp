@@ -10,14 +10,10 @@
 #include <string>
 #include <vector>
 
-#include "app/flow_factory.hpp"
-#include "app/ftp.hpp"
-#include "audit/invariant_auditor.hpp"
 #include "harness/result_sink.hpp"
+#include "harness/scenario.hpp"
 #include "harness/sweep.hpp"
-#include "net/dumbbell.hpp"
 #include "net/loss_model.hpp"
-#include "sim/simulator.hpp"
 
 namespace rrtcp::harness {
 namespace {
@@ -29,27 +25,20 @@ std::vector<SweepJob> make_audited_jobs(std::size_t n) {
   for (std::size_t j = 0; j < n; ++j) {
     jobs.push_back(
         {"audited=" + std::to_string(j), [](const JobContext& ctx) {
-           sim::Simulator sim;
-           net::DumbbellTopology topo{sim, {}};
-           topo.bottleneck().set_loss_model(
+           ScenarioSpec spec;
+           spec.horizon = sim::Time::seconds(5);
+           spec.instruments.tracers = false;
+           spec.instruments.audit = AuditMode::kRecord;
+           spec.add_flow({.variant = app::Variant::kRr});
+           Scenario sc{spec};
+           sc.topology().bottleneck().set_loss_model(
                std::make_unique<net::UniformLossModel>(0.02, ctx.seed));
-           app::Flow flow =
-               app::make_flow(app::Variant::kRr, sim, topo.sender_node(0),
-                              topo.receiver_node(0), 1, {});
-           app::FtpSource src{sim, *flow.sender, sim::Time::zero(),
-                              std::nullopt};
-
-           audit::AuditSession session{
-               sim, audit::AuditSession::FailMode::kRecord};
-           session.attach_topology(topo);
-           session.attach(*flow.sender, flow.receiver.get());
-
-           sim.run_until(sim::Time::seconds(5));
+           sc.run();
            return Record{}
                .set("seed", ctx.seed)
-               .set("acked", flow.sender->stats().bytes_acked)
-               .set("rtx", flow.sender->stats().retransmissions)
-               .set("violations", session.total_violations());
+               .set("acked", sc.sender(0).stats().bytes_acked)
+               .set("rtx", sc.sender(0).stats().retransmissions)
+               .set("violations", sc.instrumentation().audit_violations());
          }});
   }
   return jobs;

@@ -1,19 +1,14 @@
 // Shared scenario runner for integration tests: one or more flows over the
-// paper's dumbbell with an arbitrary loss model at the bottleneck.
+// paper's dumbbell with an arbitrary loss model at the bottleneck. A thin
+// layer over harness::ScenarioSpec that keeps the tests' loss-model
+// factories and flat result struct.
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <vector>
 
-#include "app/flow_factory.hpp"
-#include "app/ftp.hpp"
-#include "audit/audit.hpp"
-#include "net/drop_tail.hpp"
-#include "net/dumbbell.hpp"
-#include "sim/simulator.hpp"
-#include "stats/throughput.hpp"
-#include "stats/tracer.hpp"
+#include "harness/scenario.hpp"
 
 namespace rrtcp::test {
 
@@ -44,46 +39,35 @@ struct ScenarioResult {
   double now_s = 0.0;
 };
 
+// Audit is build-gated (RRTCP_AUDIT=ON): every integration scenario then
+// runs under the full invariant set, abort-on-violation.
 inline ScenarioResult run_scenario(const ScenarioConfig& cfg) {
-  sim::Simulator sim;
-  net::DumbbellConfig netcfg;
-  netcfg.n_flows = cfg.n_flows;
-  netcfg.make_bottleneck_queue = [&] {
-    return std::make_unique<net::DropTailQueue>(cfg.buffer_packets);
-  };
-  net::DumbbellTopology topo{sim, netcfg};
+  harness::ScenarioSpec spec;
+  spec.horizon = cfg.horizon;
+  spec.bottleneck = harness::QueueSpec::drop_tail(cfg.buffer_packets);
+  spec.instruments.tracers = false;
+  spec.add_flows(cfg.n_flows,
+                 {.variant = cfg.variant, .bytes = cfg.bytes, .tcp = cfg.tcp},
+                 cfg.stagger);
+  harness::Scenario sc{spec};
+  harness::DumbbellView topo = sc.topology();
   if (cfg.make_loss) topo.bottleneck().set_loss_model(cfg.make_loss());
   if (cfg.make_ack_loss)
     topo.reverse_bottleneck().set_loss_model(cfg.make_ack_loss());
 
-  std::vector<app::Flow> flows;
-  std::vector<std::unique_ptr<app::FtpSource>> sources;
-  for (int i = 0; i < cfg.n_flows; ++i) {
-    flows.push_back(app::make_flow(cfg.variant, sim, topo.sender_node(i),
-                                   topo.receiver_node(i),
-                                   static_cast<net::FlowId>(i + 1), cfg.tcp));
-    sources.push_back(std::make_unique<app::FtpSource>(
-        sim, *flows.back().sender, cfg.stagger * i, cfg.bytes));
-  }
-
-  // Build-gated protocol auditing (RRTCP_AUDIT=ON): every integration
-  // scenario then runs under the full invariant set, abort-on-violation.
-  audit::ScopedAudit audit{sim};
-  audit.attach_topology(topo);
-  for (auto& f : flows) audit.attach(*f.sender, f.receiver.get());
-
-  sim.run_until(cfg.horizon);
+  sc.run();
 
   ScenarioResult out;
-  out.now_s = sim.now().to_seconds();
+  out.now_s = sc.sim().now().to_seconds();
   out.bottleneck_drops = topo.bottleneck().queue().stats().dropped;
   if (auto* lm = topo.bottleneck().loss_model()) out.loss_model_drops = lm->drops();
-  for (auto& f : flows) {
+  for (int i = 0; i < sc.n_flows(); ++i) {
+    const tcp::TcpSenderBase& snd = sc.sender(i);
     FlowResult r;
-    r.complete = f.sender->complete();
-    r.completion_s = f.sender->completion_time().to_seconds();
-    r.rcv_bytes = f.receiver->bytes_in_order();
-    r.stats = f.sender->stats();
+    r.complete = snd.complete();
+    r.completion_s = snd.completion_time().to_seconds();
+    r.rcv_bytes = sc.flow(i).receiver->bytes_in_order();
+    r.stats = snd.stats();
     out.flows.push_back(r);
   }
   return out;

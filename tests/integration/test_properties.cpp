@@ -63,51 +63,42 @@ INSTANTIATE_TEST_SUITE_P(Variants, QueueInvariants,
                          });
 
 TEST_P(QueueInvariants, OccupancyBoundedAndFlightCapped) {
-  sim::Simulator sim;
-  net::DumbbellConfig netcfg;
-  netcfg.n_flows = 2;
-  netcfg.make_bottleneck_queue = [] {
-    return std::make_unique<net::DropTailQueue>(8);
-  };
-  net::DumbbellTopology topo{sim, netcfg};
-
   tcp::TcpConfig tcfg;
-  std::vector<app::Flow> flows;
-  std::vector<std::unique_ptr<app::FtpSource>> srcs;
-  for (int i = 0; i < 2; ++i) {
-    flows.push_back(app::make_flow(GetParam(), sim, topo.sender_node(i),
-                                   topo.receiver_node(i), i + 1, tcfg));
-    srcs.push_back(std::make_unique<app::FtpSource>(
-        sim, *flows.back().sender, sim::Time::zero(), std::nullopt));
-  }
+  harness::ScenarioSpec spec;
+  spec.horizon = sim::Time::seconds(30);
+  spec.bottleneck = harness::QueueSpec::drop_tail(8);
+  spec.add_flows(2, {.variant = GetParam(), .tcp = tcfg});
+  harness::Scenario sc{spec};
+  sim::Simulator& sim = sc.sim();
+  net::QueueDisc& bottleneck = sc.topology().bottleneck().queue();
 
   // Sample invariants every 10 ms of simulated time.
   bool violated = false;
   std::function<void()> probe = [&] {
-    if (topo.bottleneck().queue().len_packets() > 8) violated = true;
-    for (auto& f : flows) {
-      if (f.sender->flight_bytes() >
+    if (bottleneck.len_packets() > 8) violated = true;
+    for (int i = 0; i < sc.n_flows(); ++i) {
+      const tcp::TcpSenderBase& f = sc.sender(i);
+      if (f.flight_bytes() >
           tcfg.max_window_pkts * static_cast<std::uint64_t>(tcfg.mss))
         violated = true;
-      if (f.sender->snd_una() > f.sender->snd_nxt()) violated = true;
+      if (f.snd_una() > f.snd_nxt()) violated = true;
     }
     if (sim.now() < sim::Time::seconds(30))
       sim.schedule_in(sim::Time::milliseconds(10), probe);
   };
   sim.schedule_at(sim::Time::zero(), probe);
-  sim.run_until(sim::Time::seconds(30));
+  sc.run();
   EXPECT_FALSE(violated);
   // Both flows made progress.
-  for (auto& f : flows) EXPECT_GT(f.receiver->bytes_in_order(), 100'000u);
+  for (int i = 0; i < sc.n_flows(); ++i)
+    EXPECT_GT(sc.flow(i).receiver->bytes_in_order(), 100'000u);
 }
 
 TEST_P(QueueInvariants, CumulativeAckMonotone) {
-  sim::Simulator sim;
-  net::DumbbellConfig netcfg;
-  netcfg.n_flows = 1;
-  net::DumbbellTopology topo{sim, netcfg};
-  auto flow = app::make_flow(GetParam(), sim, topo.sender_node(0),
-                             topo.receiver_node(0), 1);
+  harness::ScenarioSpec spec;
+  spec.horizon = sim::Time::seconds(20);
+  spec.add_flow({.variant = GetParam()});
+  harness::Scenario sc{spec};
 
   struct Monotone : tcp::SenderObserver {
     std::uint64_t last = 0;
@@ -119,9 +110,9 @@ TEST_P(QueueInvariants, CumulativeAckMonotone) {
       }
     }
   } mono;
-  flow.sender->add_observer(&mono);
-  app::FtpSource src{sim, *flow.sender, sim::Time::zero(), std::nullopt};
-  sim.run_until(sim::Time::seconds(20));
+  sc.sender(0).add_observer(&mono);
+  sc.run();
+  sc.sender(0).remove_observer(&mono);
   EXPECT_TRUE(mono.ok);
 }
 
@@ -136,25 +127,14 @@ INSTANTIATE_TEST_SUITE_P(Variants, Fairness,
                          });
 
 TEST_P(Fairness, TwoFlowsShareWithinFactorOfThree) {
-  sim::Simulator sim;
-  net::DumbbellConfig netcfg;
-  netcfg.n_flows = 2;
-  netcfg.make_bottleneck_queue = [] {
-    return std::make_unique<net::DropTailQueue>(20);
-  };
-  net::DumbbellTopology topo{sim, netcfg};
-  std::vector<app::Flow> flows;
-  std::vector<std::unique_ptr<app::FtpSource>> srcs;
-  for (int i = 0; i < 2; ++i) {
-    flows.push_back(app::make_flow(GetParam(), sim, topo.sender_node(i),
-                                   topo.receiver_node(i), i + 1));
-    srcs.push_back(std::make_unique<app::FtpSource>(
-        sim, *flows.back().sender, sim::Time::milliseconds(100) * i,
-        std::nullopt));
-  }
-  sim.run_until(sim::Time::seconds(120));
-  const double a = static_cast<double>(flows[0].receiver->bytes_in_order());
-  const double b = static_cast<double>(flows[1].receiver->bytes_in_order());
+  harness::ScenarioSpec spec;
+  spec.horizon = sim::Time::seconds(120);
+  spec.bottleneck = harness::QueueSpec::drop_tail(20);
+  spec.add_flows(2, {.variant = GetParam()}, sim::Time::milliseconds(100));
+  harness::Scenario sc{spec};
+  sc.run();
+  const double a = static_cast<double>(sc.flow(0).receiver->bytes_in_order());
+  const double b = static_cast<double>(sc.flow(1).receiver->bytes_in_order());
   EXPECT_GT(a, 0);
   EXPECT_GT(b, 0);
   const double ratio = a > b ? a / b : b / a;

@@ -106,8 +106,11 @@ TEST(FlatTable, RandomizedAgainstReferenceMap) {
       ASSERT_NE(t.find(k), nullptr) << "round " << round << " key " << k;
       EXPECT_EQ(*t.find(k), v);
     }
-    for (std::uint32_t k = 0; k < 257; ++k)
-      if (ref.count(k) == 0) EXPECT_EQ(t.find(k), nullptr);
+    for (std::uint32_t k = 0; k < 257; ++k) {
+      if (ref.count(k) == 0) {
+        EXPECT_EQ(t.find(k), nullptr);
+      }
+    }
   }
 }
 

@@ -7,8 +7,9 @@
 #include "app/flow_factory.hpp"
 #include "app/ftp.hpp"
 #include "net/drop_tail.hpp"
-#include "net/dumbbell.hpp"
 #include "tcp/tahoe.hpp"
+#include "topo/graph.hpp"
+#include "topo/presets.hpp"
 
 namespace rrtcp::tcp {
 namespace {
@@ -56,16 +57,16 @@ TEST(SmoothStart, ReducesSlowStartOvershootDrops) {
   // slow-start burst.
   auto drops_with = [](bool smooth) {
     sim::Simulator sim;
-    net::DumbbellConfig netcfg;
-    netcfg.n_flows = 1;
-    net::DumbbellTopology topo{sim, netcfg};  // drop-tail 8
+    const topo::MultiDumbbellLayout md =
+        topo::multi_dumbbell({.n_senders = 1, .m_receivers = 1});
+    topo::TopologyGraph g{sim, md.spec};  // drop-tail 8
     TcpConfig tcfg;
     tcfg.smooth_start = smooth;
-    auto flow = app::make_flow(app::Variant::kRr, sim, topo.sender_node(0),
-                               topo.receiver_node(0), 1, tcfg);
+    auto flow = app::make_flow(app::Variant::kRr, sim, g.node(md.senders[0]),
+                               g.node(md.receivers[0]), 1, tcfg);
     app::FtpSource src{sim, *flow.sender, sim::Time::zero(), std::nullopt};
     sim.run_until(sim::Time::seconds(5));  // the start-up phase
-    return topo.bottleneck().queue().stats().dropped;
+    return g.link(md.bottleneck_link).queue().stats().dropped;
   };
   EXPECT_LE(drops_with(true), drops_with(false));
 }

@@ -1,12 +1,13 @@
 // TopologyGraph: spec building, BFS routing (with the deterministic
 // lowest-link-index tie-break), explicit route overrides, and the pinned
-// dumbbell-on-graph layout that the byte-identity guarantee rests on.
+// layout a dumbbell ScenarioSpec resolves to.
 #include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "net/dumbbell.hpp"
+#include "../testutil.hpp"
+#include "harness/scenario.hpp"
 #include "sim/simulator.hpp"
 #include "topo/graph.hpp"
 #include "topo/presets.hpp"
@@ -116,45 +117,87 @@ TEST(TopologyGraph, LinkBetweenFindsFirstMatch) {
   EXPECT_EQ(topo.link_between(a, a), nullptr);
 }
 
-// The dumbbell preset's node/link layout is load-bearing: seed-trace
-// byte-identity depends on R1, R2, senders, receivers getting the exact
-// node ids (and the bottleneck pair the exact link ids) the hand-built
-// topology used. Pin them.
+// A dumbbell spec resolves to multi_dumbbell(n, n), and its layout is
+// load-bearing: DumbbellView, the fuzzer's injection points and the chaos
+// soak all address R1/R2 and the bottleneck pair by index. Pin it.
 TEST(DumbbellOnGraph, SeedLayoutIsPinned) {
-  sim::Simulator sim;
-  net::DumbbellConfig cfg;
-  cfg.n_flows = 2;
-  net::DumbbellTopology dumbbell{sim, cfg};
-  TopologyGraph& g = dumbbell.graph();
+  harness::ScenarioSpec spec;
+  spec.add_flows(2, {});
+  const harness::ScenarioSpec r = harness::Scenario::resolve(spec);
+  const GraphSpec& g = r.graph;
 
-  EXPECT_EQ(g.n_nodes(), 2 + 2 * 2);
-  EXPECT_EQ(g.n_links(), 2 + 4 * 2);
-  EXPECT_EQ(&dumbbell.bottleneck(), &g.link(0));          // R1 -> R2
-  EXPECT_EQ(&dumbbell.reverse_bottleneck(), &g.link(1));  // R2 -> R1
-  EXPECT_EQ(dumbbell.sender_index(0), 2);
-  EXPECT_EQ(dumbbell.receiver_index(0), 4);
+  EXPECT_EQ(g.nodes, (std::vector<std::string>{"R1", "R2", "S1", "S2", "K1",
+                                               "K2"}));
+  std::vector<std::string> names;
+  for (const topo::LinkSpec& l : g.links) names.push_back(l.name);
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "R1->R2", "R2->R1", "S1->R1", "R1->S1", "S2->R1",
+                       "R1->S2", "K1->R2", "R2->K1", "K2->R2", "R2->K2"}));
+  EXPECT_EQ(r.audited_links, (std::vector<int>{0, 1}));
+  EXPECT_EQ(r.flows[0].src_node, 2);  // S1 -> K1
+  EXPECT_EQ(r.flows[0].dst_node, 4);
+  EXPECT_EQ(r.flows[1].src_node, 3);  // S2 -> K2
+  EXPECT_EQ(r.flows[1].dst_node, 5);
+
+  // Table 3: 0.8 Mbps / 100 ms bottlenecks (8-packet forward buffer, deep
+  // reverse one), 10 Mbps zero-delay access links.
+  EXPECT_EQ(g.links[0].bandwidth_bps, 800'000);
+  EXPECT_EQ(g.links[0].delay, sim::Time::milliseconds(100));
+  EXPECT_EQ(g.links[0].queue_packets, 8u);
+  EXPECT_EQ(g.links[1].bandwidth_bps, 800'000);
+  EXPECT_EQ(g.links[1].queue_packets, 10'000u);
+  EXPECT_EQ(g.links[2].bandwidth_bps, 10'000'000);
+  EXPECT_EQ(g.links[2].delay, sim::Time::zero());
 
   // Data path S1 -> K1: access link, forward bottleneck, exit link;
   // ACK path K1 -> S1: the mirror through the reverse bottleneck.
-  EXPECT_EQ(g.path_links(dumbbell.sender_index(0), dumbbell.receiver_index(0)),
-            (std::vector<int>{2, 0, 4}));
-  EXPECT_EQ(g.path_links(dumbbell.receiver_index(0), dumbbell.sender_index(0)),
-            (std::vector<int>{5, 1, 3}));
+  sim::Simulator sim;
+  TopologyGraph topo{sim, g};
+  EXPECT_EQ(topo.path_links(2, 4), (std::vector<int>{2, 0, 7}));
+  EXPECT_EQ(topo.path_links(4, 2), (std::vector<int>{6, 1, 3}));
 }
 
+// Shapes the dumbbell spec does not offer are edits of its resolved graph:
+// here a slower, shorter ACK path on link 1.
 TEST(DumbbellOnGraph, ReverseBottleneckOverridesApply) {
-  sim::Simulator sim;
-  net::DumbbellConfig cfg;
-  cfg.n_flows = 1;
-  cfg.reverse_bps = 200'000;
-  cfg.reverse_delay = sim::Time::milliseconds(40);
-  net::DumbbellTopology dumbbell{sim, cfg};
+  harness::ScenarioSpec spec;
+  spec.horizon = sim::Time::seconds(5);
+  spec.add_flow({.variant = app::Variant::kNewReno, .bytes = 20'000});
+  harness::ScenarioSpec r = harness::Scenario::resolve(spec);
+  r.graph.links[1].bandwidth_bps = 200'000;
+  r.graph.links[1].delay = sim::Time::milliseconds(40);
 
-  EXPECT_EQ(dumbbell.reverse_bottleneck().config().bandwidth_bps, 200'000);
-  EXPECT_EQ(dumbbell.reverse_bottleneck().config().prop_delay,
+  harness::Scenario sc{r};
+  EXPECT_EQ(sc.graph().link(1).config().bandwidth_bps, 200'000);
+  EXPECT_EQ(sc.graph().link(1).config().prop_delay,
             sim::Time::milliseconds(40));
   // Forward bottleneck keeps the Table 3 defaults.
-  EXPECT_EQ(dumbbell.bottleneck().config().bandwidth_bps, 800'000);
+  EXPECT_EQ(sc.graph().link(0).config().bandwidth_bps, 800'000);
+  sc.run();
+  EXPECT_TRUE(sc.sender(0).complete());
+}
+
+// The preset routes data and ACKs between a host pair in three hops each
+// way.
+TEST(Dumbbell, EndToEndPathWorksBothWays) {
+  sim::Simulator sim;
+  const topo::MultiDumbbellLayout md =
+      topo::multi_dumbbell({.n_senders = 2, .m_receivers = 2});
+  TopologyGraph g{sim, md.spec};
+  net::Node& s2 = g.node(md.senders[1]);
+  net::Node& k2 = g.node(md.receivers[1]);
+
+  test::CaptureAgent rcv, snd;
+  k2.attach_agent(3, &rcv);
+  s2.attach_agent(3, &snd);
+
+  s2.inject(test::make_data(3, 0, 1000, s2.id(), k2.id()));   // data S2 -> K2
+  k2.inject(test::make_ack(3, 1000, {}, k2.id(), s2.id()));  // ACK K2 -> S2
+  sim.run();
+  ASSERT_EQ(rcv.packets.size(), 1u);
+  ASSERT_EQ(snd.packets.size(), 1u);
+  EXPECT_EQ(rcv.packets[0].hops, 3u);  // S->R1, R1->R2, R2->K
+  EXPECT_EQ(snd.packets[0].hops, 3u);
 }
 
 TEST(ParkingLot, LongPathCrossesEveryBottleneck) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "../testutil.hpp"
 #include "harness/scenario.hpp"
 #include "net/drop_tail.hpp"
 #include "topo/presets.hpp"
@@ -109,6 +110,19 @@ TEST(ScenarioReverse, RedReverseBottleneckIsExposed) {
   EXPECT_EQ(sc.red(), nullptr);  // forward bottleneck stayed drop-tail
 }
 
+// ScenarioSpec's default QueueSpec is the paper's 8-packet drop-tail
+// bottleneck buffer.
+TEST(Dumbbell, DefaultBottleneckQueueIsEightPackets) {
+  harness::ScenarioSpec spec;
+  // The packets enqueued below come from no sender: audit off.
+  spec.instruments.audit = harness::AuditMode::kNone;
+  spec.add_flow({});
+  harness::Scenario sc{spec};
+  net::QueueDisc& q = sc.topology().bottleneck().queue();
+  for (int i = 0; i < 12; ++i) q.enqueue(test::make_data(1, i * 1000, 1000));
+  EXPECT_EQ(q.len_packets(), 8u);  // Table 3: buffer size 8 packets
+}
+
 harness::ScenarioSpec parking_lot_spec(std::uint64_t seed, int hops) {
   topo::ParkingLotConfig plc;
   plc.n_bottlenecks = hops;
@@ -133,7 +147,6 @@ harness::ScenarioSpec parking_lot_spec(std::uint64_t seed, int hops) {
 
 TEST(ScenarioGraph, ParkingLotRunsAndStaysAuditClean) {
   harness::Scenario sc{parking_lot_spec(5, 3)};
-  EXPECT_TRUE(sc.graph_mode());
   sc.run();
 
   EXPECT_EQ(sc.n_cbr(), 3);
@@ -156,6 +169,83 @@ TEST(ScenarioGraph, ParkingLotIsDeterministic) {
   for (int i = 0; i < a.n_cbr(); ++i)
     EXPECT_EQ(a.cbr_sink(i).packets_received(),
               b.cbr_sink(i).packets_received());
+}
+
+// A dumbbell spec is shorthand for a multi_dumbbell(n, n) graph spec:
+// written out by hand, the same scenario — RED bottleneck, a reverse bulk
+// flow, a CBR stream sized as a load fraction — runs identically.
+TEST(DumbbellSpec, MatchesTheSameScenarioWrittenAsAGraph) {
+  net::RedConfig rc;
+  rc.mean_pkt_tx = sim::Time::transmission(1000, 800'000);
+  harness::ScenarioSpec dumbbell;
+  dumbbell.seed = 9;
+  dumbbell.horizon = sim::Time::seconds(8);
+  dumbbell.instruments.audit = harness::AuditMode::kRecord;
+  dumbbell.bottleneck = harness::QueueSpec::red_queue(rc);
+  dumbbell.add_flow({.variant = app::Variant::kRr, .tcp = tuned_tcp()});
+  dumbbell.add_flow({.variant = app::Variant::kNewReno, .tcp = tuned_tcp(),
+                     .reverse = true});
+  dumbbell.add_flow({.variant = app::Variant::kSack,
+                     .start = sim::Time::milliseconds(300),
+                     .tcp = tuned_tcp()});
+  dumbbell.add_cbr({.load_fraction = 0.25});
+
+  harness::ScenarioSpec graph = dumbbell;
+  topo::MultiDumbbellConfig mdc;
+  mdc.n_senders = 4;
+  mdc.m_receivers = 4;
+  net::RedConfig seeded = rc;
+  seeded.seed = graph.seed;
+  mdc.make_bottleneck_queue = [seeded](sim::Simulator& s) {
+    return std::make_unique<net::RedQueue>(s, seeded);
+  };
+  const topo::MultiDumbbellLayout md = topo::multi_dumbbell(mdc);
+  graph.graph = md.spec;
+  graph.audited_links = {md.bottleneck_link, md.reverse_bottleneck_link};
+  auto place = [&md](auto& x, int pair, bool reverse) {
+    const int s = md.senders[static_cast<std::size_t>(pair)];
+    const int k = md.receivers[static_cast<std::size_t>(pair)];
+    x.src_node = reverse ? k : s;
+    x.dst_node = reverse ? s : k;
+  };
+  for (int i = 0; i < 3; ++i)
+    place(graph.flows[static_cast<std::size_t>(i)], i, i == 1);
+  place(graph.cross_traffic[0], 3, false);
+  graph.cross_traffic[0].rate_bps = 200'000;  // 0.25 x 800 kbit/s
+
+  harness::Scenario a{dumbbell};
+  harness::Scenario b{graph};
+  a.run();
+  b.run();
+  ASSERT_NE(a.red(), nullptr);
+  EXPECT_GT(a.red()->early_drops(), 0u);
+  for (int i = 0; i < 3; ++i) {
+    const tcp::SenderStats& sa = a.sender(i).stats();
+    const tcp::SenderStats& sb = b.sender(i).stats();
+    EXPECT_GT(a.sender(i).snd_una(), 0u) << "flow " << i;
+    EXPECT_EQ(a.sender(i).snd_una(), b.sender(i).snd_una()) << "flow " << i;
+    EXPECT_EQ(sa.data_packets_sent, sb.data_packets_sent) << "flow " << i;
+    EXPECT_EQ(sa.retransmissions, sb.retransmissions) << "flow " << i;
+    EXPECT_EQ(sa.timeouts, sb.timeouts) << "flow " << i;
+    EXPECT_EQ(a.flow(i).receiver->bytes_in_order(),
+              b.flow(i).receiver->bytes_in_order())
+        << "flow " << i;
+  }
+  EXPECT_GT(a.cbr_sink(0).packets_received(), 0u);
+  EXPECT_EQ(a.cbr_sink(0).packets_received(), b.cbr_sink(0).packets_received());
+  for (int l = 0; l < 2; ++l)
+    EXPECT_EQ(a.graph().link(l).queue().stats().dropped,
+              b.graph().link(l).queue().stats().dropped)
+        << "link " << l;
+  EXPECT_EQ(a.instrumentation().audit_violations(), 0u);
+  EXPECT_EQ(b.instrumentation().audit_violations(), 0u);
+}
+
+// topology() is the dumbbell view; a graph-mode scenario has no dumbbell
+// to show, and says so instead of handing out arbitrary links.
+TEST(ScenarioGraphDeathTest, TopologyViewNeedsADumbbellSpec) {
+  harness::Scenario sc{parking_lot_spec(5, 1)};
+  EXPECT_DEATH(sc.topology(), "dumbbell-mode spec");
 }
 
 }  // namespace
