@@ -11,8 +11,11 @@
 //    or wall-clock time. The same grid with the same base seed produces
 //    the same per-job seeds under any thread count.
 //  * Isolation: a job must touch nothing outside its own stack — the
-//    SweepJob callback builds the whole simulation locally. The only
-//    shared object is the mutex-guarded ResultSink.
+//    SweepJob callback builds the whole simulation locally, and the
+//    packet path keeps no process-wide mutable state (packet uids are
+//    numbered by the minting endpoint, net::packet_uid). The only
+//    object jobs write in common is the mutex-guarded ResultSink; what
+//    else they share they only read (the log level, the SenderFactory).
 //  * Ordering: the sink stores results by job index, so CSV/JSON emission
 //    is byte-identical no matter how completions interleave.
 //

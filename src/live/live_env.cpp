@@ -146,7 +146,6 @@ void LiveEnvironment::timer_destroy(TimerId id) {
   RRTCP_ASSERT(id < timers_.size() && timers_[id].live);
   timers_[id] = TimerSlot{};
   free_.push_back(id);
-  rearm_timerfd();
 }
 
 void LiveEnvironment::timer_arm(TimerId id, sim::Time delay) {
@@ -155,14 +154,12 @@ void LiveEnvironment::timer_arm(TimerId id, sim::Time delay) {
   slot.armed = true;
   slot.deadline = now() + delay;
   slot.arm_seq = next_arm_seq_++;
-  rearm_timerfd();
+  if (slot.deadline < programmed_) program_timerfd(slot.deadline);
 }
 
 void LiveEnvironment::timer_cancel(TimerId id) {
   RRTCP_DASSERT(id < timers_.size() && timers_[id].live);
-  if (!timers_[id].armed) return;
   timers_[id].armed = false;
-  rearm_timerfd();
 }
 
 bool LiveEnvironment::timer_pending(TimerId id) const {
@@ -170,32 +167,25 @@ bool LiveEnvironment::timer_pending(TimerId id) const {
   return timers_[id].armed;
 }
 
-void LiveEnvironment::rearm_timerfd() {
-  // Program the timerfd to the earliest armed deadline (absolute
-  // CLOCK_MONOTONIC), or disarm it when nothing is pending.
-  bool any = false;
-  sim::Time earliest = sim::Time::infinity();
-  for (const TimerSlot& s : timers_) {
-    if (s.live && s.armed && s.deadline < earliest) {
-      earliest = s.deadline;
-      any = true;
-    }
-  }
+void LiveEnvironment::program_timerfd(sim::Time deadline) {
+  // Absolute CLOCK_MONOTONIC expiry; infinity disarms (zero it_value).
   itimerspec its{};
-  if (any) {
-    std::int64_t ns = epoch_ns_ + earliest.ps() / 1'000;
+  if (deadline != sim::Time::infinity()) {
+    std::int64_t ns = epoch_ns_ + deadline.ps() / 1'000;
     if (ns <= 0) ns = 1;  // already due: fire immediately
     its.it_value.tv_sec = ns / 1'000'000'000;
     its.it_value.tv_nsec = ns % 1'000'000'000;
   }
-  // Zero it_value disarms — exactly what the !any case wants.
   if (::timerfd_settime(timer_fd_, TFD_TIMER_ABSTIME, &its, nullptr) != 0)
     die("timerfd_settime");
+  programmed_ = deadline;
 }
 
 int LiveEnvironment::fire_due_timers() {
   // Drain the timerfd's expiry count, then fire every due timer in
-  // (deadline, arm-order) — the simulator's determinism contract.
+  // (deadline, arm-order) — the simulator's determinism contract. The
+  // wake-up may be early (its timer was cancelled or re-armed later);
+  // either way the timerfd is reprogrammed to the true earliest deadline.
   std::uint64_t expirations = 0;
   const ssize_t drained = ::read(timer_fd_, &expirations, sizeof expirations);
   (void)drained;  // an empty timerfd (EAGAIN) is fine — we scan deadlines
@@ -217,7 +207,11 @@ int LiveEnvironment::fire_due_timers() {
     timers_[best].on_fire();  // may re-arm, create, or destroy timers
     ++fired;
   }
-  if (fired > 0) rearm_timerfd();
+  sim::Time earliest = sim::Time::infinity();  // infinity disarms
+  for (const TimerSlot& s : timers_) {
+    if (s.live && s.armed && s.deadline < earliest) earliest = s.deadline;
+  }
+  program_timerfd(earliest);
   return fired;
 }
 

@@ -1,12 +1,13 @@
 // The real-network embodiment of env::Environment.
 //
 // One LiveEnvironment is one endpoint of a UDP "connection": a nonblocking
-// UDP socket, an epoll instance, and one CLOCK_MONOTONIC timerfd armed to
-// the earliest pending deadline of the environment's timer registry. The
-// clock is CLOCK_MONOTONIC rebased to zero at construction, so transport
-// code sees the same near-zero sim::Time values it sees in the simulator —
-// and never wall time (src/live is the only place the rrtcp-wall-clock
-// tidy check permits a real clock, and even here it is the monotonic one).
+// UDP socket, an epoll instance, and one CLOCK_MONOTONIC timerfd armed no
+// later than the earliest pending deadline of the environment's timer
+// registry (see timer_arm below). The clock is CLOCK_MONOTONIC rebased to
+// zero at construction, so transport code sees the same near-zero
+// sim::Time values it sees in the simulator — and never wall time
+// (src/live is the only place the rrtcp-wall-clock tidy check permits a
+// real clock, and even here it is the monotonic one).
 //
 // Threading model: single-threaded, pull-based. Nothing happens between
 // poll() calls — arriving datagrams queue in the kernel socket buffer and
@@ -78,6 +79,11 @@ class LiveEnvironment final : public env::Environment {
   }
   void detach(net::FlowId flow) override { agents_.erase(flow); }
   void send(net::Packet p) override;
+  // Arming reprograms the timerfd only when the new deadline is earlier
+  // than the one it holds; cancel and destroy never touch it. A wake-up
+  // for a deadline that was cancelled or pushed back fires nothing and
+  // reprograms the timerfd to the true earliest deadline, so an RTO
+  // restart per ACK costs no syscall.
   TimerId timer_create(std::function<void()> on_fire) override;
   void timer_destroy(TimerId id) override;
   void timer_arm(TimerId id, sim::Time delay) override;
@@ -115,7 +121,7 @@ class LiveEnvironment final : public env::Environment {
   };
 
   std::int64_t monotonic_ns() const;
-  void rearm_timerfd();
+  void program_timerfd(sim::Time deadline);
   int fire_due_timers();
   int drain_socket();
   bool ingress_filtered(const net::Packet& p);
@@ -137,6 +143,8 @@ class LiveEnvironment final : public env::Environment {
   std::vector<TimerSlot> timers_;
   std::vector<TimerId> free_;
   std::uint64_t next_arm_seq_ = 0;
+  // The deadline the timerfd is programmed to; infinity when disarmed.
+  sim::Time programmed_ = sim::Time::infinity();
 
   // Armed ingress filter state, one RNG stream per spec (same naming
   // convention as chaos::FaultInjector).

@@ -1,22 +1,8 @@
 #include "net/packet.hpp"
 
-#include <atomic>
 #include <cstdio>
 
 namespace rrtcp::net {
-
-namespace {
-// Atomic: parallel sweep jobs (harness/sweep.cpp) run whole simulations on
-// worker threads, all drawing uids from this one counter. Uids only need
-// uniqueness — nothing orders on them — so relaxed increments keep sweep
-// results deterministic (tests/harness pins CSV byte-equality across
-// thread counts).
-std::atomic<std::uint64_t> g_next_uid{1};
-}  // namespace
-
-std::uint64_t next_packet_uid() {
-  return g_next_uid.fetch_add(1, std::memory_order_relaxed);
-}
 
 std::string Packet::to_string() const {
   char buf[160];

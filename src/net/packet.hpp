@@ -50,7 +50,7 @@ struct TcpHeader {
 };
 
 struct Packet {
-  std::uint64_t uid = 0;  // globally unique, assigned by make_packet()
+  std::uint64_t uid = 0;  // unique within a scenario: see packet_uid()
   FlowId flow = 0;
   NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;
@@ -66,8 +66,25 @@ struct Packet {
   std::string to_string() const;
 };
 
-// Allocates the next globally unique packet uid. Uids exist purely for
-// tracing/debugging; simulation behavior never depends on them.
-std::uint64_t next_packet_uid();
+// The uid of the n-th packet of kind `type` that an endpoint mints for
+// `flow`: the flow id in bits 63..32, the kind in bits 31..30 and n in bits
+// 29..0. Each minter numbers its own packets — a sender counts its data
+// transmissions and retransmissions, a receiver its ACKs, a CBR source its
+// datagrams — so minting touches no state shared between endpoints or
+// between the scenarios of a sweep, and a scenario's uids are the same
+// whichever thread, job order or shard count runs it. Scenarios give TCP
+// flows and CBR streams distinct flow ids, so uids are unique within a
+// scenario until one endpoint mints 2^30 packets of one kind, after which
+// n wraps. Uids exist purely for tracing/debugging; simulation behavior
+// never depends on them.
+inline constexpr int kPacketUidCountBits = 30;
+
+constexpr std::uint64_t packet_uid(FlowId flow, PacketType type,
+                                   std::uint64_t n) {
+  return (std::uint64_t{flow} << 32) |
+         (std::uint64_t{static_cast<std::uint8_t>(type)}
+          << kPacketUidCountBits) |
+         (n & ((std::uint64_t{1} << kPacketUidCountBits) - 1));
+}
 
 }  // namespace rrtcp::net

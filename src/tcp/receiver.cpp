@@ -190,7 +190,7 @@ void TcpReceiver::send_ack(bool duplicate) {
   delack_timer_.cancel();
 
   net::Packet ack;
-  ack.uid = net::next_packet_uid();
+  ack.uid = net::packet_uid(flow_, net::PacketType::kAck, stats_.acks_sent);
   ack.flow = flow_;
   ack.src = self_;
   ack.dst = peer_;

@@ -81,7 +81,8 @@ void TcpSenderBase::transmit(std::uint64_t seq, std::uint32_t len,
                              bool is_rtx) {
   RRTCP_ASSERT(len > 0);
   net::Packet p;
-  p.uid = net::next_packet_uid();
+  p.uid = net::packet_uid(flow_, net::PacketType::kData,
+                          stats_.data_packets_sent + stats_.retransmissions);
   p.flow = flow_;
   p.src = self_;
   p.dst = dst_;

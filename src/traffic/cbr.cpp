@@ -23,7 +23,7 @@ CbrSource::CbrSource(sim::Simulator& sim, net::Node& node, net::FlowId flow,
 void CbrSource::tick() {
   if (cfg_.stop && sim_.now() >= *cfg_.stop) return;  // disarm
   net::Packet p;
-  p.uid = net::next_packet_uid();
+  p.uid = net::packet_uid(flow_, net::PacketType::kCbr, packets_sent_);
   p.flow = flow_;
   p.src = node_.id();
   p.dst = dst_;

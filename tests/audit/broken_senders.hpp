@@ -116,7 +116,11 @@ class BrokenHiddenRetransmitSender : public core::RrSender {
     core::RrSender::handle_dup_ack(h);
     if (was || !in_recovery()) return;
     net::Packet p;
-    p.uid = net::next_packet_uid();
+    // A copy of the fast retransmission, the sender's last transmission:
+    // it carries that packet's uid.
+    p.uid = net::packet_uid(
+        flow_, net::PacketType::kData,
+        stats().data_packets_sent + stats().retransmissions - 1);
     p.flow = flow_;
     p.src = env_.local_id();
     p.dst = env_.peer_id();

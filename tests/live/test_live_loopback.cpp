@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "app/sender_factory.hpp"
 #include "chaos/fault.hpp"
@@ -150,6 +151,43 @@ TEST(LiveLoopback, ServerLearnsPeerFromFirstDatagram) {
   EXPECT_TRUE(server.peer_known());
   EXPECT_TRUE(sender->complete());
   EXPECT_EQ(receiver.rcv_nxt(), 1'000u);
+}
+
+// The timer ordering contract over the lazily reprogrammed timerfd: the
+// timerfd keeps the first (5 ms) deadline through the re-arm and the
+// cancel, so its wake-up finds nothing due and must reprogram. Tie timers
+// are armed back to back with one delay in reverse slot order: whether the
+// clock reads equal (a true tie) or later between the arms, they fire in
+// arm order, never in slot order.
+TEST(LiveTimers, RearmedFiresLateCancelledNeverTiesInArmOrder) {
+  live::LiveEnvironment env{live::LiveConfig{}};
+  using TimerId = env::Environment::TimerId;
+  std::vector<int> fired;
+  sim::Time pushed_at = sim::Time::infinity();
+  const TimerId pushed = env.timer_create([&] {
+    fired.push_back(0);
+    pushed_at = env.now();
+  });
+  const TimerId cancelled = env.timer_create([&] { fired.push_back(1); });
+  std::vector<TimerId> tie;
+  for (int k = 0; k < 4; ++k)
+    tie.push_back(env.timer_create([&fired, k] { fired.push_back(10 + k); }));
+
+  env.timer_arm(pushed, sim::Time::milliseconds(5));
+  env.timer_arm(cancelled, sim::Time::milliseconds(5));
+  const sim::Time rearmed_from = env.now();
+  env.timer_arm(pushed, sim::Time::milliseconds(40));
+  env.timer_cancel(cancelled);
+  for (int k = 3; k >= 0; --k)
+    env.timer_arm(tie[static_cast<std::size_t>(k)],
+                  sim::Time::milliseconds(20));
+
+  EXPECT_FALSE(env.run_until([] { return false; },
+                             rearmed_from + sim::Time::milliseconds(80)));
+  EXPECT_EQ(fired, (std::vector<int>{13, 12, 11, 10, 0}));
+  EXPECT_GE(pushed_at, rearmed_from + sim::Time::milliseconds(40));
+  EXPECT_FALSE(env.timer_pending(pushed));
+  EXPECT_FALSE(env.timer_pending(cancelled));
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "net/red.hpp"
 #include "pdes/sharded.hpp"
 #include "sim/simulator.hpp"
+#include "testutil.hpp"
 #include "topo/presets.hpp"
 
 namespace rrtcp::pdes {
@@ -338,6 +339,7 @@ struct RedRun {
   std::vector<std::uint64_t> digests;
   std::uint64_t early = 0;
   std::uint64_t forced = 0;
+  std::vector<std::uint64_t> uids;  // every arrival at the RED queue
 };
 
 RedRun run_red_multi_dumbbell(int shards) {
@@ -383,9 +385,12 @@ RedRun run_red_multi_dumbbell(int shards) {
   if (shards > 1) {
     EXPECT_EQ(sc.partition().node_shard[static_cast<std::size_t>(md.r1)], 1);
   }
+  auto& red = dynamic_cast<net::RedQueue&>(sc.link(md.bottleneck_link).queue());
+  test::UidRecorder uids;
+  red.set_observer(&uids);
   RedRun out;
   out.digests = per_flow_digests(sc);
-  auto& red = dynamic_cast<net::RedQueue&>(sc.link(md.bottleneck_link).queue());
+  out.uids = std::move(uids.uids);
   out.early = red.early_drops();
   out.forced = red.forced_drops();
   return out;
@@ -398,6 +403,16 @@ TEST(ShardedScenario, RedBottleneckIdenticalAcrossShardCounts) {
   EXPECT_EQ(two.digests, one.digests);
   EXPECT_EQ(two.early, one.early);
   EXPECT_EQ(two.forced, one.forced);
+}
+
+// Packet uids are minted by the endpoints, so on a tie-free spec the
+// bottleneck sees the same uids in the same order at any shard count, even
+// though the 2-shard run mints on two worker threads at once.
+TEST(ShardedScenario, BottleneckUidsIdenticalAcrossShardCounts) {
+  const RedRun one = run_red_multi_dumbbell(1);
+  const RedRun two = run_red_multi_dumbbell(2);
+  ASSERT_FALSE(one.uids.empty());
+  EXPECT_EQ(two.uids, one.uids);
 }
 
 }  // namespace

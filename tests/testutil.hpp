@@ -8,6 +8,7 @@
 
 #include "net/node.hpp"
 #include "net/packet.hpp"
+#include "net/queue_disc.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/types.hpp"
 
@@ -40,11 +41,25 @@ class CaptureAgent final : public net::Agent {
   std::vector<net::Packet> packets;
 };
 
+// Records the uid of every packet offered to a queue, admitted or dropped,
+// in arrival order.
+class UidRecorder final : public net::QueueObserver {
+ public:
+  void on_enqueue(const net::Packet& p, const net::QueueDisc&) override {
+    uids.push_back(p.uid);
+  }
+  void on_drop(const net::Packet& p, net::DropReason,
+               const net::QueueDisc&) override {
+    uids.push_back(p.uid);
+  }
+  std::vector<std::uint64_t> uids;
+};
+
 inline net::Packet make_data(net::FlowId flow, std::uint64_t seq,
                              std::uint32_t len, net::NodeId src = 1,
                              net::NodeId dst = 2) {
   net::Packet p;
-  p.uid = net::next_packet_uid();
+  p.uid = net::packet_uid(flow, net::PacketType::kData, seq);
   p.flow = flow;
   p.src = src;
   p.dst = dst;
@@ -59,7 +74,7 @@ inline net::Packet make_ack(net::FlowId flow, std::uint64_t ack,
                             std::vector<net::SackBlock> sacks = {},
                             net::NodeId src = 2, net::NodeId dst = 1) {
   net::Packet p;
-  p.uid = net::next_packet_uid();
+  p.uid = net::packet_uid(flow, net::PacketType::kAck, ack);
   p.flow = flow;
   p.src = src;
   p.dst = dst;
