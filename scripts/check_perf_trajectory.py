@@ -140,6 +140,11 @@ def main() -> int:
             failures.append(f"row {key} present in baseline but missing from "
                             f"current run — bench coverage shrank")
             continue
+        if cur_row["unit"] != base_row["unit"]:
+            failures.append(f"{key[0]}/{key[1]}: unit {cur_row['unit']} but "
+                            f"the baseline row counts {base_row['unit']} — "
+                            f"convert the committed row")
+            continue
         if key in FLOOR_EXEMPT_ROWS:
             print(f"  {key[0]:<15} {key[1]:<7} {rate_of(cur_row):>14,.0f} "
                   f"{base_row['unit']}/s  (floor exempt: parallel wall-clock)")

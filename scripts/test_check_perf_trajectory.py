@@ -71,8 +71,8 @@ def full_rowset(scale=1.0, forward_pooled_factor=2.5, alloc_overrides=None,
             a("route_forward", "flat_table"), unit="hops"),
         row("e2e_1flow", "pooled", 2e4 * scale, 0.1, unit="packets",
             steady_allocs_per_packet=steady),
-        row("shard_scaling", "single", 1e7 * scale, 0.0),
-        row("shard_scaling", "shard4", 8e6 * scale, 0.001),
+        row("shard_scaling", "single", 5e6 * scale, 0.0, unit="packets"),
+        row("shard_scaling", "shard4", 4e6 * scale, 0.001, unit="packets"),
     ]
     return rows
 
@@ -208,6 +208,17 @@ class CoverageTests(GateHarness):
                     if r["bench"] != "route_forward"]
         self.assertEqual(self.run_gate(baseline, full_rowset()), 0)
 
+    def test_unit_change_fails_until_the_baseline_is_converted(self):
+        # A row whose unit changed would compare packets/s against the
+        # baseline's events/s; the committed row must be converted first.
+        events = [dict(r) for r in full_rowset()]
+        for r in events:
+            if r["bench"] == "shard_scaling":
+                r["unit"] = "events"
+                r["events_per_sec"] = r.pop("packets_per_sec") * 2
+        self.assertEqual(self.run_gate(events, full_rowset()), 1)
+        self.assertEqual(self.run_gate(full_rowset(), full_rowset()), 0)
+
     def test_floor_exempt_row_may_slow_but_not_vanish(self):
         # shard_scaling/shard4 measures parallel wall-clock: its rate is
         # scheduling noise on a shared runner, so the calibrated floor
@@ -216,7 +227,7 @@ class CoverageTests(GateHarness):
         slow = full_rowset()
         for r in slow:
             if r["bench"] == "shard_scaling" and r["engine"] == "shard4":
-                r["events_per_sec"] /= 10.0
+                r["packets_per_sec"] /= 10.0
         self.assertEqual(self.run_gate(full_rowset(), slow), 0)
         gone = [r for r in full_rowset()
                 if not (r["bench"] == "shard_scaling"

@@ -26,15 +26,16 @@ void Link::send(Packet p) {
                 queue_->len_packets());
     return;
   }
-  try_transmit();
+  if (idle())
+    transmit_next();
+  else if (!release_pending_)
+    schedule_release();
 }
 
-void Link::try_transmit() {
-  if (busy_) return;
+void Link::transmit_next() {
   auto next = queue_->dequeue();
   if (!next) return;
 
-  busy_ = true;
   const sim::Time tx = tx_time(next->size_bytes);
   busy_time_ += tx;
   // Deliver after serialization + propagation (+ any reordering delay);
@@ -46,9 +47,9 @@ void Link::try_transmit() {
   // The forwarding path must stay allocation-free: the rrtcp-smallfn-inline
   // check verifies at every schedule call site that the capture fits the
   // scheduler's inline buffer.
-  // Absolute serialization-end computed once for both events. Scheduling
-  // deliver *before* release is load-bearing: the insertion-sequence order
-  // is part of the pinned legacy-equivalence traces, and the scheduler's
+  // Absolute serialization-end computed once for both keys. Keying the
+  // delivery *before* the release is load-bearing: the insertion-sequence
+  // order is part of the pinned golden traces, and the scheduler's
   // same-tick batching (DESIGN.md §11) relies on same-instant schedules
   // arriving in ascending sequence to chain a burst of deliveries behind
   // one heap entry.
@@ -74,11 +75,20 @@ void Link::try_transmit() {
     };
     sim_.schedule_at(done + cfg_.prop_delay + jitter, std::move(deliver));
   }
+  // Reserve the release key even when nothing waits: a send() before
+  // (done, release_seq_) passes schedules the release under it.
+  busy_until_ = done;
+  release_seq_ = sim_.reserve_seq();
+  if (!queue_->empty()) schedule_release();
+}
+
+void Link::schedule_release() {
+  release_pending_ = true;
   auto release = [this] {
-    busy_ = false;
-    try_transmit();
+    release_pending_ = false;
+    transmit_next();
   };
-  sim_.schedule_at(done, std::move(release));
+  sim_.schedule_reserved(busy_until_, release_seq_, std::move(release));
 }
 
 double Link::utilization(sim::Time now) const {

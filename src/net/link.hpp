@@ -9,6 +9,12 @@
 //   t0                 enqueue
 //   t0 + tx            last bit leaves (tx = size*8/bandwidth)
 //   t0 + tx + delay    delivered to the destination node
+//
+// The transmitter is busy until t0 + tx. Its release (dequeue the next
+// packet) is a scheduled event only when a packet waits for it: the key is
+// reserved at transmit time and scheduled if the queue is non-empty then,
+// or when a later send() finds the transmitter still busy. A release that
+// would find the queue empty is never scheduled.
 #pragma once
 
 #include <cstdint>
@@ -95,7 +101,13 @@ class Link final : public PacketHandler {
   double utilization(sim::Time now) const;
 
  private:
-  RRTCP_HOT void try_transmit();
+  // True once the last transmission's release key has passed with no
+  // release scheduled: a send() may transmit at once.
+  bool idle() const {
+    return !release_pending_ && sim_.passed(busy_until_, release_seq_);
+  }
+  RRTCP_HOT void transmit_next();
+  RRTCP_HOT void schedule_release();
 
   sim::Simulator& sim_;
   LinkConfig cfg_;
@@ -105,7 +117,11 @@ class Link final : public PacketHandler {
   Node* dst_ = nullptr;
   RemoteSink* remote_ = nullptr;
 
-  bool busy_ = false;
+  // The transmitter's release key: serialization end and the insertion
+  // seq reserved for it right after the delivery event.
+  sim::Time busy_until_ = sim::Time::zero();
+  std::uint64_t release_seq_ = 0;
+  bool release_pending_ = false;
   std::uint64_t delivered_ = 0;
   std::uint64_t bytes_delivered_ = 0;
   std::uint64_t loss_data_drops_ = 0;

@@ -428,7 +428,19 @@ bool Simulator::heap_settle_top() {
     const HeapEntry& top = heap_[0];
     if (top.slot & kChainFlag) {
       const std::uint32_t ci = top.slot & ~kChainFlag;
-      if (chains_[ci].count > 0) return true;
+      const Chain& c = chains_[ci];
+      if (c.count > 0) {
+        // The entry is keyed by the seq of the member that was head when
+        // it was pushed. Once that member fired or was cancelled the key
+        // is stale-low, and a reserved event keyed between two members
+        // (schedule_reserved) must still fire between them: re-key to the
+        // live head and let the entry sink to its true place.
+        const std::uint64_t head_seq = node(c.head).seq;
+        if (top.seq == head_seq) return true;
+        heap_[0].seq = head_seq;
+        sift_down(0);
+        continue;
+      }
       free_chain(ci);  // fully cancelled chain
     } else if (node(top.slot).seq == top.seq &&
                node(top.slot).loc == detail::kLocHeap) {
@@ -460,6 +472,7 @@ bool Simulator::settle_ready(std::int64_t limit_ps) {
 void Simulator::fire_node(std::uint32_t slot, detail::EventNode& n) {
   RRTCP_ASSERT(n.at_ps >= now_.ps());
   now_ = Time::picoseconds(n.at_ps);
+  cur_seq_ = n.seq;
   // Consume the occupancy before invoking so the handle reports "not
   // pending" and a self-cancel inside the callback is a no-op. The slot
   // returns to the free list only after the callback finishes — its
@@ -531,7 +544,11 @@ std::uint64_t Simulator::run_until(Time deadline) {
   // Only a run that exhausted the work up to `deadline` advances the clock
   // there; a stopped run leaves now_ at the stopping event's time so the
   // caller can observe when the stop happened and resume from it.
-  if (!stopped_ && now_ < deadline) now_ = deadline;
+  // Everything keyed so far at or before `deadline` has fired.
+  if (!stopped_ && now_ <= deadline) {
+    now_ = deadline;
+    cur_seq_ = last_seq_;
+  }
   return n;
 }
 
@@ -547,7 +564,11 @@ std::uint64_t Simulator::run_before(Time deadline) {
     fire_next();
     ++n;
   }
-  if (!stopped_ && now_ < deadline) now_ = deadline;
+  // Nothing at `deadline` itself has fired.
+  if (!stopped_ && now_ < deadline) {
+    now_ = deadline;
+    cur_seq_ = 0;
+  }
   return n;
 }
 

@@ -27,6 +27,10 @@
 //    collapse into a single heap entry backed by an intrusive chain, so
 //    one heap settle drains a whole burst (and a wheel bucket flush
 //    re-batches the runs it pushes). Chain members cancel in O(1).
+//  * A key can be reserved before its event exists (reserve_seq() /
+//    schedule_reserved()), and passed() tells whether a key's turn has
+//    come. Link uses the pair to schedule its transmitter release only
+//    when a packet waits for it, at the key the release always had.
 //  * A slot's occupancy is identified by the event's unique insertion
 //    sequence number, so stale heap entries (cancelled events whose slot
 //    was already recycled) are recognized and skipped on pop without any
@@ -168,6 +172,44 @@ class Simulator {
     return reschedule_at(h, now_ + delay);
   }
 
+  // Reserved keys. reserve_seq() consumes the next insertion sequence
+  // number without scheduling anything; schedule_reserved() later inserts
+  // an event under that (at, seq) key, so it fires exactly where an event
+  // scheduled at reservation time would have. A component whose follow-up
+  // event usually has nothing to do (Link's transmitter release) reserves
+  // the key up front and schedules only when there is work: every other
+  // event keeps its key, and same-instant order is unchanged. The event
+  // becomes a plain heap entry (no wheel staging, no same-tick batching).
+  // `seq` must come from reserve_seq(), be scheduled at most once, and
+  // the key must not have passed().
+  std::uint64_t reserve_seq() { return ++last_seq_; }
+
+  template <typename F>
+  RRTCP_HOT EventHandle schedule_reserved(Time at, std::uint64_t seq,
+                                          F&& fn) {
+    RRTCP_ASSERT_MSG(seq != 0 && seq <= last_seq_,
+                     "schedule_reserved needs a key from reserve_seq()");
+    RRTCP_ASSERT_MSG(!passed(at, seq),
+                     "cannot schedule under a key that has already passed");
+    const std::uint32_t slot = alloc_slot();
+    detail::EventNode& n = node(slot);
+    if (!n.fn.emplace(std::forward<F>(fn))) ++fallback_allocs_;
+    n.seq = seq;
+    n.at_ps = at.ps();
+    n.loc = detail::kLocHeap;
+    ++live_events_;
+    heap_push(HeapEntry{at, seq, slot});
+    return EventHandle{this, slot, seq};
+  }
+
+  // True once every event that sorts at or before (at, seq) has fired:
+  // during an event's callback, keys up to and including the firing
+  // event's own; after run_until(d), everything at d keyed so far; after
+  // run_before(d) moved the clock to d, nothing at d.
+  bool passed(Time at, std::uint64_t seq) const {
+    return at < now_ || (at == now_ && seq <= cur_seq_);
+  }
+
   // Run until the event queue drains or stop() is called.
   // Returns the number of events executed.
   RRTCP_HOT std::uint64_t run();
@@ -231,10 +273,13 @@ class Simulator {
   };
   static constexpr std::uint32_t kChainFlag = 0x80000000u;
 
-  // A same-tick run: seq-contiguous events at one instant sharing a single
-  // heap entry keyed by (at, seq of the first member). Members form an
+  // A same-tick run: seq-ascending events at one instant sharing a single
+  // heap entry keyed by (at, seq of the head member). Members form an
   // intrusive doubly-linked list through their EventNodes and fire head-
-  // first, which is exactly ascending-seq order.
+  // first, which is exactly ascending-seq order. Firing or cancelling the
+  // head leaves the key stale-low; heap_settle_top() re-keys the entry to
+  // the new head before it fires, so an event keyed between two members
+  // (schedule_reserved) still fires between them.
   struct Chain {
     std::uint32_t head;
     std::uint32_t tail;
@@ -450,6 +495,8 @@ class Simulator {
   std::uint64_t live_events_ = 0;
 
   Time now_ = Time::zero();
+  // Seq of the event firing (or last fired) at now_; see passed().
+  std::uint64_t cur_seq_ = 0;
   std::uint64_t last_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::uint64_t fallback_allocs_ = 0;

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "../testutil.hpp"
 #include "net/drop_tail.hpp"
 #include "net/link.hpp"
@@ -93,6 +95,83 @@ TEST(Link, UtilizationReflectsBusyTime) {
   sim.run();  // 100 ms of transmission
   sim.run_until(sim::Time::milliseconds(200));
   EXPECT_NEAR(link.utilization(sim.now()), 0.5, 1e-9);
+}
+
+// The transmitter's release is an event only when a packet waits for it.
+TEST(Link, SendOnIdleLinkLeavesOnlyTheDelivery) {
+  sim::Simulator sim;
+  Node dst{2};
+  CaptureAgent agent;
+  dst.attach_agent(1, &agent);
+  Link link{sim, {800'000, sim::Time::milliseconds(5), "l"}, big_queue()};
+  link.set_dst(&dst);
+
+  link.send(make_data(1, 0, 1000));
+  EXPECT_EQ(sim.pending_events(), 1u);  // the delivery, no release
+  link.send(make_data(1, 1000, 1000));  // waits: now the release is due
+  EXPECT_EQ(sim.pending_events(), 2u);
+  link.send(make_data(1, 2000, 1000));  // the release is already pending
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.run();
+  ASSERT_EQ(agent.packets.size(), 3u);
+  EXPECT_EQ(sim.now(), sim::Time::milliseconds(35));
+  // Three deliveries and two releases; the last transmission's release
+  // would have found the queue empty.
+  EXPECT_EQ(sim.events_executed(), 5u);
+}
+
+// Logs queue-observer calls and deliveries into one ordered trace.
+class OrderLog final : public QueueObserver, public Agent {
+ public:
+  explicit OrderLog(const sim::Simulator& sim) : sim_{sim} {}
+  void on_enqueue(const Packet& p, const QueueDisc&) override {
+    note("enq", p);
+  }
+  void on_dequeue(const Packet& p, const QueueDisc&) override {
+    note("deq", p);
+  }
+  void receive(Packet p) override { note("rcv", p); }
+  std::string trace;
+
+ private:
+  void note(const char* what, const Packet& p) {
+    trace += what + std::to_string(p.tcp.seq / 1000) + "@" +
+             std::to_string(sim_.now().ps() / 1'000'000'000) + "ms ";
+  }
+  const sim::Simulator& sim_;
+};
+
+// A packet arriving at exactly the instant the transmitter frees up
+// (serialization end, 10 ms) queues if its arrival event is keyed before
+// the release, and transmits at once if keyed after it — the order the
+// release event always imposed, whether or not it is scheduled.
+std::string arrival_at_release_instant(bool arrival_keyed_first) {
+  sim::Simulator sim;
+  Node dst{2};
+  OrderLog log{sim};
+  dst.attach_agent(1, &log);
+  // 1000 B at 0.8 Mbps = 10 ms tx; no propagation, so the delivery of
+  // packet 0 shares the release instant too.
+  Link link{sim, {800'000, sim::Time::zero(), "l"}, big_queue()};
+  link.set_dst(&dst);
+  link.queue().set_observer(&log);
+  const sim::Time release_at = sim::Time::milliseconds(10);
+  auto late_send = [&] { link.send(make_data(1, 1000, 1000)); };
+  if (arrival_keyed_first) sim.schedule_at(release_at, late_send);
+  link.send(make_data(1, 0, 1000));
+  if (!arrival_keyed_first) sim.schedule_at(release_at, late_send);
+  sim.run();
+  return log.trace;
+}
+
+TEST(Link, ArrivalKeyedBeforeReleaseQueues) {
+  EXPECT_EQ(arrival_at_release_instant(true),
+            "enq0@0ms deq0@0ms enq1@10ms rcv0@10ms deq1@10ms rcv1@20ms ");
+}
+
+TEST(Link, ArrivalKeyedAfterReleaseTransmitsAtOnce) {
+  EXPECT_EQ(arrival_at_release_instant(false),
+            "enq0@0ms deq0@0ms rcv0@10ms enq1@10ms deq1@10ms rcv1@20ms ");
 }
 
 TEST(Node, DeliversToLocalAgentByFlow) {

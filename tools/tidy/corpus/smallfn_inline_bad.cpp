@@ -17,4 +17,11 @@ void arm_oversized(rrtcp::sim::Simulator& sim) {
                   [blob] { (void)blob[0]; });  // 512B capture > 160B budget
 }
 
+void arm_oversized_reserved(rrtcp::sim::Simulator& sim) {
+  char blob[512] = {};
+  const auto seq = sim.reserve_seq();
+  sim.schedule_reserved(rrtcp::sim::Time::milliseconds(1), seq,
+                        [blob] { (void)blob[0]; });  // same, reserved key
+}
+
 }  // namespace corpus

@@ -26,4 +26,10 @@ void arm_by_reference(rrtcp::sim::Simulator& sim) {
                   [&big] { big[0] = 1; });  // reference capture: 8 bytes
 }
 
+void arm_reserved(rrtcp::sim::Simulator& sim, Counter& c) {
+  const auto seq = sim.reserve_seq();
+  sim.schedule_reserved(rrtcp::sim::Time::milliseconds(3), seq,
+                        [&c] { ++c.hits; });  // reserved key, 8-byte capture
+}
+
 }  // namespace corpus

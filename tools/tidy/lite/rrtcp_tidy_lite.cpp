@@ -607,7 +607,8 @@ void check_nondet_iteration(const SourceFile& f, const FlatText& ft,
 // ---------------------------------------------------------------------------
 // rrtcp-smallfn-inline
 //
-// At schedule_at/schedule_in call sites taking a lambda, estimate the
+// At schedule_at/schedule_in/schedule_reserved call sites taking a
+// lambda, estimate the
 // by-value capture footprint from visible declarations (char arrays and
 // std::array<char, N>); flag estimates above the inline budget. Purely
 // size-visible cases only — the plugin computes real sizeof.
@@ -634,7 +635,7 @@ void check_smallfn_inline(const SourceFile& f, const FlatText& ft,
     if (bytes > 0) buffers[name] = bytes;
   }
   if (buffers.empty()) return;
-  for (const char* call : {"schedule_at", "schedule_in"}) {
+  for (const char* call : {"schedule_at", "schedule_in", "schedule_reserved"}) {
     for (std::size_t p = find_word(ft.text, call); p != std::string::npos;
          p = find_word(ft.text, call, p + 1)) {
       const std::size_t open = ft.text.find('(', p);

@@ -22,8 +22,8 @@ void SmallFnInlineCheck::registerMatchers(MatchFinder* Finder) {
   Finder->addMatcher(
       cxxMemberCallExpr(
           callee(cxxMethodDecl(
-              hasAnyName("schedule_at", "schedule_in", "reschedule_at",
-                         "reschedule_in"),
+              hasAnyName("schedule_at", "schedule_in", "schedule_reserved",
+                         "reschedule_at", "reschedule_in"),
               ofClass(hasName("::rrtcp::sim::Simulator")))))
           .bind("call"),
       this);
@@ -32,7 +32,9 @@ void SmallFnInlineCheck::registerMatchers(MatchFinder* Finder) {
 void SmallFnInlineCheck::check(const MatchFinder::MatchResult& Result) {
   const auto* Call = Result.Nodes.getNodeAs<CXXMemberCallExpr>("call");
   if (Call == nullptr || Call->getNumArgs() < 2) return;
-  const Expr* Callable = Call->getArg(1)->IgnoreParenImpCasts();
+  // The callable is the last argument: schedule_reserved takes (at, seq, fn).
+  const Expr* Callable =
+      Call->getArg(Call->getNumArgs() - 1)->IgnoreParenImpCasts();
   // Materialized temporaries wrap the lambda/functor expression.
   if (const auto* MTE = dyn_cast<MaterializeTemporaryExpr>(Callable))
     Callable = MTE->getSubExpr()->IgnoreParenImpCasts();

@@ -1,6 +1,7 @@
-// rrtcp-smallfn-inline — Simulator::schedule_at/schedule_in store their
-// callable in a SmallFn<160> inline buffer; a callable that doesn't fit
-// silently falls back to heap allocation (counted by
+// rrtcp-smallfn-inline — Simulator::schedule_at/schedule_in/
+// schedule_reserved store their callable in a SmallFn<160> inline
+// buffer; a callable that doesn't fit silently falls back to heap
+// allocation (counted by
 // callback_heap_fallbacks, caught at runtime by the alloc-regression
 // tests). This check moves that contract to compile time: every schedule
 // call site whose callable exceeds the inline budget gets a diagnostic
