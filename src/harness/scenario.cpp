@@ -6,6 +6,7 @@
 
 #include "app/flow_factory.hpp"
 #include "harness/sweep.hpp"
+#include "net/packet.hpp"
 #include "sim/assert.hpp"
 #include "topo/presets.hpp"
 
@@ -74,6 +75,8 @@ const char* to_string(SpecError::Code c) {
       return "unroutable";
     case SpecError::Code::kBadCbr:
       return "bad-cbr";
+    case SpecError::Code::kBadSegment:
+      return "bad-segment";
     case SpecError::Code::kShardUnsupported:
       return "shard-unsupported";
   }
@@ -129,6 +132,12 @@ std::optional<SpecError> Scenario::validate(const ScenarioSpec& spec) {
                   "flow " + std::to_string(i) + ": no path " +
                       std::to_string(fs.src_node) + "<->" +
                       std::to_string(fs.dst_node));
+    // A segment's payload is carried in 16 bits (net::TcpHeader).
+    if (fs.tcp.mss == 0 || fs.tcp.mss > net::kMaxPayloadBytes)
+      return fail(SpecError::Code::kBadSegment,
+                  "flow " + std::to_string(i) + ": mss " +
+                      std::to_string(fs.tcp.mss) + " outside 1.." +
+                      std::to_string(net::kMaxPayloadBytes));
   }
   for (std::size_t j = 0; j < spec.cross_traffic.size(); ++j) {
     const CbrSpec& cs = spec.cross_traffic[j];

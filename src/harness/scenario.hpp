@@ -153,6 +153,7 @@ struct SpecError {
     kBadEndpoint,   // flow src/dst missing or outside the node set
     kUnroutable,    // no path between a flow's endpoints (either direction)
     kBadCbr,        // cross-traffic endpoints/rate/packet size invalid
+    kBadSegment,    // a flow's tcp.mss is 0 or above net::kMaxPayloadBytes
     // A spec that partitions asks for what only one engine supports
     // (pdes::ShardedScenario::validate).
     kShardUnsupported,

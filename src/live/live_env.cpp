@@ -282,7 +282,6 @@ int LiveEnvironment::drain_socket() {
       ++filtered_;
       continue;
     }
-    p.src = cfg_.peer_id;
     p.dst = cfg_.local_id;
     net::Agent** agent = agents_.find(p.flow);
     if (agent == nullptr) {

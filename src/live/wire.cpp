@@ -42,7 +42,7 @@ std::size_t wire_size(const net::Packet& p) {
 
 std::size_t encode(const net::Packet& p, std::uint8_t* buf, std::size_t cap) {
   if (p.tcp.n_sack > net::kMaxSackBlocks) return 0;
-  if (filler_bytes(p) > kMaxWirePayload) return 0;
+  if (p.tcp.payload > kMaxWirePayload) return 0;
   const std::size_t need = wire_size(p);
   if (need > cap) return 0;
 
@@ -64,8 +64,9 @@ std::size_t encode(const net::Packet& p, std::uint8_t* buf, std::size_t cap) {
 
   std::uint8_t* w = buf + kWireHeaderBytes;
   for (int i = 0; i < p.tcp.n_sack; ++i) {
-    put_u64(w, p.tcp.sack[static_cast<std::size_t>(i)].begin);
-    put_u64(w + 8, p.tcp.sack[static_cast<std::size_t>(i)].end);
+    const net::SackBlock b = p.tcp.sack_block(i);
+    put_u64(w, b.begin);
+    put_u64(w + 8, b.end);
     w += kWireSackBytes;
   }
   std::memset(w, 0, filler_bytes(p));
@@ -82,6 +83,9 @@ bool decode(const std::uint8_t* buf, std::size_t len, net::Packet* out) {
   if ((flags & ~0x0fu) != 0) return false;
   const std::uint8_t n_sack = buf[7];
   if (n_sack > net::kMaxSackBlocks) return false;
+  // Checked before narrowing to the packet's 16-bit field.
+  const std::uint32_t payload = get_u32(buf + 40);
+  if (payload > kMaxWirePayload) return false;
 
   net::Packet p;
   p.type = static_cast<net::PacketType>(type);
@@ -95,18 +99,20 @@ bool decode(const std::uint8_t* buf, std::size_t len, net::Packet* out) {
   p.uid = get_u64(buf + 16);
   p.tcp.seq = get_u64(buf + 24);
   p.tcp.ack = get_u64(buf + 32);
-  p.tcp.payload = get_u32(buf + 40);
+  p.tcp.payload = static_cast<std::uint16_t>(payload);
 
   std::size_t off = kWireHeaderBytes;
   if (len < off + n_sack * kWireSackBytes) return false;
   for (int i = 0; i < n_sack; ++i) {
-    p.tcp.sack[static_cast<std::size_t>(i)].begin = get_u64(buf + off);
-    p.tcp.sack[static_cast<std::size_t>(i)].end = get_u64(buf + off + 8);
+    const net::SackBlock b{get_u64(buf + off), get_u64(buf + off + 8)};
+    // The packet stores blocks as 32-bit offsets above the cumulative ACK.
+    if (b.begin < p.tcp.ack || b.end < b.begin ||
+        b.end - p.tcp.ack > net::kMaxSackOffset)
+      return false;
+    p.tcp.set_sack_block(i, b);
     off += kWireSackBytes;
   }
-  const std::size_t filler = p.is_data() ? p.tcp.payload : 0;
-  if (filler > kMaxWirePayload) return false;
-  if (len != off + filler) return false;
+  if (len != off + filler_bytes(p)) return false;
 
   *out = p;
   return true;

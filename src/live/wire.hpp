@@ -23,8 +23,12 @@
 //   48  n_sack x { u64 begin, u64 end }
 //   ... payload filler (data packets only)
 //
-// decode() is strict: bad magic/version/type, an out-of-range n_sack, a
-// truncated header or a trailing-length mismatch all reject the datagram
+// The SACK bounds and payload are wider on the wire than in net::Packet,
+// which stores each block as 32-bit offsets above `ack` and the payload in
+// 16 bits. decode() is strict: bad magic/version/type, an out-of-range
+// n_sack, a payload above kMaxWirePayload, a SACK block that starts below
+// `ack`, ends before it starts or ends more than 2^32 - 1 bytes past `ack`,
+// a truncated header or a trailing-length mismatch all reject the datagram
 // (returns false, *out untouched). A transport exposed to a real network
 // must treat every arriving datagram as hostile.
 #pragma once
@@ -51,13 +55,12 @@ inline constexpr std::size_t kMaxWireDatagram =
 std::size_t wire_size(const net::Packet& p);
 
 // Encodes `p` into `buf`; returns bytes written, or 0 when `cap` is too
-// small, n_sack is out of range, or a data payload exceeds kMaxWirePayload.
+// small, n_sack is out of range, or the payload exceeds kMaxWirePayload.
 std::size_t encode(const net::Packet& p, std::uint8_t* buf, std::size_t cap);
 
 // Decodes one datagram. Returns false (out untouched) on any malformation.
-// Fields the wire does not carry (sent_at, hops) are zero in *out; src/dst
-// NodeIds are likewise not carried — addressing is the socket's business —
-// so the caller stamps them from its environment.
+// The destination NodeId is not carried — addressing is the socket's
+// business — so the caller stamps it from its environment.
 bool decode(const std::uint8_t* buf, std::size_t len, net::Packet* out);
 
 }  // namespace rrtcp::live

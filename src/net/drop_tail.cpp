@@ -6,7 +6,7 @@ namespace rrtcp::net {
 
 // The ring starts empty and grows with the traffic (see PacketRing). Do not
 // pre-size it to the configured capacity: every slot is a value-initialised
-// 128-byte Packet, and zero-filling buffers most links never use dominated
+// 64-byte Packet, and zero-filling buffers most links never use dominated
 // the set-up of the paper's short sweep scenarios (DESIGN.md §11).
 DropTailQueue::DropTailQueue(std::uint64_t capacity, Mode mode)
     : capacity_{capacity}, mode_{mode} {

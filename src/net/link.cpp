@@ -41,7 +41,6 @@ void Link::transmit_next() {
   // Deliver after serialization + propagation (+ any reordering delay);
   // free the transmitter after serialization alone.
   Packet pkt = std::move(*next);
-  ++pkt.hops;
   const sim::Time jitter =
       reorder_ ? reorder_->delay_for_next_packet() : sim::Time::zero();
   // The forwarding path must stay allocation-free: the rrtcp-smallfn-inline

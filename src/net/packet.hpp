@@ -1,17 +1,18 @@
 // Packet model.
 //
 // A Packet is a small value type: moving it through queues and links copies
-// ~100 bytes and never allocates. Sequence and ACK numbers are 64-bit byte
-// offsets — simulations never wrap, which keeps the transport logic free of
-// modular arithmetic (wrap-aware 32-bit sequence arithmetic is provided and
-// tested separately in tcp/seq.hpp as the production-sized variant).
+// one 64-byte cache line and never allocates. Sequence and ACK numbers are
+// 64-bit byte offsets — simulations never wrap, which keeps the transport
+// logic free of modular arithmetic (wrap-aware 32-bit sequence arithmetic is
+// provided and tested separately in tcp/seq.hpp as the production-sized
+// variant).
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <string>
 
-#include "sim/time.hpp"
+#include "sim/assert.hpp"
 
 namespace rrtcp::net {
 
@@ -35,36 +36,78 @@ struct SackBlock {
 
 inline constexpr int kMaxSackBlocks = 3;
 
+// Largest distance above TcpHeader::ack at which a SACK bound can be
+// stored (the header keeps 32-bit offsets).
+inline constexpr std::uint64_t kMaxSackOffset = 0xFFFFFFFFu;
+
+// Largest segment payload a packet can carry (TcpHeader::payload is 16
+// bits). Scenario::validate rejects an MSS above it.
+inline constexpr std::uint32_t kMaxPayloadBytes = 0xFFFF;
+
 // Transport header carried by both data and ACK packets.
 struct TcpHeader {
-  std::uint64_t seq = 0;      // data: first byte of this segment
-  std::uint64_t ack = 0;      // ack: next byte expected by the receiver
-  std::uint32_t payload = 0;  // data: payload length in bytes
-  std::uint8_t n_sack = 0;    // ack: number of valid SACK blocks
-  std::array<SackBlock, kMaxSackBlocks> sack{};
+  std::uint64_t seq = 0;  // data: first byte of this segment
+  std::uint64_t ack = 0;  // ack: next byte expected by the receiver
+
+  // SACK block i (< n_sack) in absolute byte offsets.
+  SackBlock sack_block(int i) const {
+    const SackOffsets& o = sack_[static_cast<std::size_t>(i)];
+    return {ack + o.begin, ack + o.end};
+  }
+  // Stores block i relative to `ack`, so set `ack` first (and do not move
+  // it afterwards). Both bounds must lie in [ack, ack + 2^32 - 1]; the
+  // receiver only reports data above its cumulative ACK, and its window is
+  // far below 4 GB.
+  void set_sack_block(int i, SackBlock b) {
+    RRTCP_DASSERT(b.begin >= ack && b.begin - ack <= kMaxSackOffset);
+    RRTCP_DASSERT(b.end >= ack && b.end - ack <= kMaxSackOffset);
+    sack_[static_cast<std::size_t>(i)] = {
+        static_cast<std::uint32_t>(b.begin - ack),
+        static_cast<std::uint32_t>(b.end - ack)};
+  }
+
+ private:
+  struct SackOffsets {
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+  };
+  // Declared between ack and payload so that the header ends in five bytes
+  // of tail padding, which Packet fills (see there).
+  std::array<SackOffsets, kMaxSackBlocks> sack_{};
+
+ public:
+  std::uint16_t payload = 0;  // data: payload length in bytes
+  // ack: number of valid SACK blocks. Three bits, not two, so an
+  // out-of-range count stays representable and the wire codec can reject
+  // it.
+  std::uint8_t n_sack : 3 = 0;
   // Explicit Congestion Notification (RFC 3168) bits.
-  bool ect = false;  // data: ECN-capable transport
-  bool ce = false;   // data: congestion experienced (set by a gateway)
-  bool ece = false;  // ack: ECN echo (receiver -> sender)
-  bool cwr = false;  // data: congestion window reduced (sender -> receiver)
+  bool ect : 1 = false;  // data: ECN-capable transport
+  bool ce : 1 = false;   // data: congestion experienced (set by a gateway)
+  bool ece : 1 = false;  // ack: ECN echo (receiver -> sender)
+  bool cwr : 1 = false;  // data: congestion window reduced (sender -> rcvr)
 };
 
+// One cache line. `tcp` is [[no_unique_address]] so that `type` and
+// `size_bytes` sit in its tail padding instead of after it; assigning to
+// `tcp` leaves them intact (tests/net/test_packet.cpp). Do not add
+// alignas(64): captures aligned above max_align_t cannot be stored inline
+// in an event slot, so every delivery would allocate.
 struct Packet {
   std::uint64_t uid = 0;  // unique within a scenario: see packet_uid()
   FlowId flow = 0;
-  NodeId src = kInvalidNode;
   NodeId dst = kInvalidNode;
+  [[no_unique_address]] TcpHeader tcp;
   PacketType type = PacketType::kData;
   std::uint32_t size_bytes = 0;  // on-wire size incl. headers
-  TcpHeader tcp;
-  sim::Time sent_at = sim::Time::zero();  // stamped by the first link
-  std::uint32_t hops = 0;
 
   bool is_data() const { return type == PacketType::kData; }
   bool is_ack() const { return type == PacketType::kAck; }
   bool is_cbr() const { return type == PacketType::kCbr; }
   std::string to_string() const;
 };
+
+static_assert(sizeof(Packet) <= 64, "a Packet must fit one cache line");
 
 // The uid of the n-th packet of kind `type` that an endpoint mints for
 // `flow`: the flow id in bits 63..32, the kind in bits 31..30 and n in bits

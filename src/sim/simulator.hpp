@@ -9,7 +9,7 @@
 //
 //  * Event callables live in pooled, chunk-allocated slots with a fixed
 //    inline capture buffer (sim/small_fn.hpp) sized for the largest
-//    forwarding-path lambda (a Link delivery capturing a full Packet).
+//    forwarding-path lambda (a full Packet plus two words).
 //    Slots are recycled through a free list, so steady-state scheduling
 //    performs zero allocations; only captures larger than
 //    kEventInlineBytes fall back to the heap, and that fallback is
@@ -60,11 +60,12 @@ namespace rrtcp::sim {
 using EventFn = std::function<void()>;
 
 // Inline capture budget per pooled event. Sized for the largest hot-path
-// lambda: a chaos-injector delay capture of {this, Packet, bool} (~144
-// bytes); Link's delivery capture {this, Packet} (~136 bytes) fits too.
-// Call sites on the forwarding path static_assert that they stay inside
-// this budget, so "allocation-free forwarding" is a compile-time property.
-inline constexpr std::size_t kEventInlineBytes = 160;
+// lambdas, both 80 bytes: a chaos-injector delay capture of
+// {this, Packet, bool} and Link's cut-link hand-off {this, Packet, arrival}.
+// The rrtcp-smallfn-inline lint holds every schedule call site to this
+// budget, and callback_heap_fallbacks() == 0 is asserted by the
+// alloc-regression tests, so forwarding stays allocation-free.
+inline constexpr std::size_t kEventInlineBytes = 80;
 
 namespace detail {
 
@@ -93,6 +94,9 @@ struct EventNode {
   std::uint8_t loc = kLocFree;
   std::uint8_t bucket = 0;         // wheel bucket while wheel-resident
 };
+
+// Two cache lines per slot; a 128-event pool chunk is 16 KiB.
+static_assert(sizeof(EventNode) <= 128);
 
 }  // namespace detail
 
@@ -293,7 +297,7 @@ class Simulator {
     return a.seq < b.seq;
   }
 
-  // The pool grows 128 nodes (28 KiB) at a time. Each chunk is
+  // The pool grows 128 nodes (16 KiB) at a time. Each chunk is
   // value-initialised when it is created, so the first chunk is set-up
   // cost every scenario pays, however short; a deeper run just takes more
   // chunks on the cold grow path.

@@ -2,7 +2,7 @@
 //
 // std::function heap-allocates any capture larger than its ~2-pointer SBO,
 // which puts one malloc/free pair on every scheduled link delivery (the
-// lambda captures a full ~128-byte Packet by value). SmallFn instead gives
+// lambda captures a full 64-byte Packet by value). SmallFn instead gives
 // every pooled event node a fixed inline buffer sized for the largest
 // hot-path capture; only pathologically large captures fall back to the
 // heap, and that fallback is counted so the perf harness can assert it
@@ -57,13 +57,13 @@ class SmallFn {
       // callback_heap_fallbacks() == 0 is asserted by the alloc-regression
       // tests, so this branch is dead on the hot path.
       // NOLINTNEXTLINE(rrtcp-hot-path-alloc)
-      heap_ = new D(std::forward<F>(fn));
+      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(fn)));
       consume_ = [](SmallFn* self) {
-        D* t = static_cast<D*>(self->heap_);
+        D* t = *self->inline_target<D*>();
         (*t)();
         delete t;
       };
-      destroy_ = [](SmallFn* self) { delete static_cast<D*>(self->heap_); };
+      destroy_ = [](SmallFn* self) { delete *self->inline_target<D*>(); };
       return false;
     }
   }
@@ -74,7 +74,6 @@ class SmallFn {
       destroy_(this);
       destroy_ = nullptr;
       consume_ = nullptr;
-      heap_ = nullptr;
     }
   }
 
@@ -89,7 +88,6 @@ class SmallFn {
     consume_ = nullptr;
     destroy_ = nullptr;
     f(this);
-    heap_ = nullptr;
   }
 
   explicit operator bool() const { return consume_ != nullptr; }
@@ -100,9 +98,12 @@ class SmallFn {
     return std::launder(reinterpret_cast<D*>(buf_));
   }
 
+  static_assert(InlineBytes >= sizeof(void*),
+                "the buffer must hold the heap fallback's pointer");
+
   void (*consume_)(SmallFn*) = nullptr;
   void (*destroy_)(SmallFn*) = nullptr;
-  void* heap_ = nullptr;  // non-null only for oversized callables
+  // The callable itself, or for an oversized one a pointer to its heap copy.
   alignas(std::max_align_t) unsigned char buf_[InlineBytes];
 };
 

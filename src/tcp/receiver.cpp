@@ -12,7 +12,6 @@ TcpReceiver::TcpReceiver(env::Environment& env, net::FlowId flow,
                          ReceiverConfig cfg)
     : env_{env},
       flow_{flow},
-      self_{env.local_id()},
       peer_{env.peer_id()},
       cfg_{cfg},
       delack_timer_{env, [this] {
@@ -180,7 +179,7 @@ void TcpReceiver::fill_sack_blocks(net::TcpHeader& h) const {
   for (std::uint64_t begin : recent_blocks_) {
     const OooInterval* iv = find_ooo(begin);
     if (iv == nullptr) continue;
-    h.sack[h.n_sack++] = net::SackBlock{iv->begin, iv->end};
+    h.set_sack_block(h.n_sack++, net::SackBlock{iv->begin, iv->end});
     if (h.n_sack == net::kMaxSackBlocks) break;
   }
 }
@@ -192,7 +191,6 @@ void TcpReceiver::send_ack(bool duplicate) {
   net::Packet ack;
   ack.uid = net::packet_uid(flow_, net::PacketType::kAck, stats_.acks_sent);
   ack.flow = flow_;
-  ack.src = self_;
   ack.dst = peer_;
   ack.type = net::PacketType::kAck;
   ack.size_bytes = cfg_.ack_bytes;

@@ -116,7 +116,6 @@ class TcpReceiver final : public net::Agent {
   std::unique_ptr<env::Environment> owned_env_;
   env::Environment& env_;
   net::FlowId flow_;
-  net::NodeId self_;
   net::NodeId peer_;
   ReceiverConfig cfg_;
 

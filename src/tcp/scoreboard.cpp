@@ -6,8 +6,7 @@ namespace rrtcp::tcp {
 
 void Scoreboard::update(const net::TcpHeader& h, std::uint64_t snd_una) {
   for (int i = 0; i < h.n_sack; ++i) {
-    std::uint64_t begin = h.sack[i].begin;
-    std::uint64_t end = h.sack[i].end;
+    auto [begin, end] = h.sack_block(i);
     if (end <= begin) continue;
     if (end <= snd_una) continue;
     begin = std::max(begin, snd_una);

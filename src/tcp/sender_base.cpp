@@ -13,7 +13,6 @@ TcpSenderBase::TcpSenderBase(env::Environment& env, net::FlowId flow,
     : env_{env},
       cfg_{cfg},
       flow_{flow},
-      self_{env.local_id()},
       dst_{env.peer_id()},
       rto_{cfg},
       rto_timer_{env, [this] { on_retransmission_timeout(); }} {
@@ -79,23 +78,21 @@ std::uint64_t TcpSenderBase::effective_window() const {
 
 void TcpSenderBase::transmit(std::uint64_t seq, std::uint32_t len,
                              bool is_rtx) {
-  RRTCP_ASSERT(len > 0);
+  RRTCP_ASSERT(len > 0 && len <= net::kMaxPayloadBytes);
   net::Packet p;
   p.uid = net::packet_uid(flow_, net::PacketType::kData,
                           stats_.data_packets_sent + stats_.retransmissions);
   p.flow = flow_;
-  p.src = self_;
   p.dst = dst_;
   p.type = net::PacketType::kData;
   p.size_bytes = cfg_.mss;  // fixed on-wire size, paper convention
   p.tcp.seq = seq;
-  p.tcp.payload = len;
+  p.tcp.payload = static_cast<std::uint16_t>(len);
   p.tcp.ect = cfg_.ecn_enabled;
   if (cwr_pending_) {
     p.tcp.cwr = true;
     cwr_pending_ = false;
   }
-  p.sent_at = env_.now();
 
   if (is_rtx) {
     ++stats_.retransmissions;

@@ -210,7 +210,6 @@ class TcpSenderBase : public net::Agent {
   void notify_ack_processed(std::uint64_t ack, bool dup);
 
   net::FlowId flow_;
-  net::NodeId self_;
   net::NodeId dst_;
 
   bool started_ = false;

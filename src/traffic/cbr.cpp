@@ -25,11 +25,9 @@ void CbrSource::tick() {
   net::Packet p;
   p.uid = net::packet_uid(flow_, net::PacketType::kCbr, packets_sent_);
   p.flow = flow_;
-  p.src = node_.id();
   p.dst = dst_;
   p.type = net::PacketType::kCbr;
   p.size_bytes = cfg_.packet_bytes;
-  p.sent_at = sim_.now();
   ++packets_sent_;
   node_.inject(std::move(p));
   timer_.schedule(interval_);

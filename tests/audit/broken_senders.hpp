@@ -122,13 +122,11 @@ class BrokenHiddenRetransmitSender : public core::RrSender {
         flow_, net::PacketType::kData,
         stats().data_packets_sent + stats().retransmissions - 1);
     p.flow = flow_;
-    p.src = env_.local_id();
     p.dst = env_.peer_id();
     p.type = net::PacketType::kData;
     p.size_bytes = config().mss;
     p.tcp.seq = snd_una();
-    p.tcp.payload = segment_len_at(snd_una());
-    p.sent_at = env_.now();
+    p.tcp.payload = static_cast<std::uint16_t>(segment_len_at(snd_una()));
     env_.send(std::move(p));
   }
 

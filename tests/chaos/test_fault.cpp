@@ -56,7 +56,7 @@ struct Rig {
   }
   void send_ack_at(Time t, std::uint64_t ack) {
     sim.schedule_at(t, [this, ack] {
-      src.inject(test::make_ack(kFlow, ack, {}, /*src=*/1, /*dst=*/2));
+      src.inject(test::make_ack(kFlow, ack, {}, /*dst=*/2));
     });
   }
 

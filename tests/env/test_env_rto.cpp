@@ -155,8 +155,7 @@ TEST(MockEnvReceiver, AcksEveryInOrderSegmentWithoutSimulator) {
   EXPECT_TRUE(env.sent[0].is_ack());
   EXPECT_EQ(env.sent[0].tcp.ack, 1000u);
   EXPECT_EQ(env.sent[1].tcp.ack, 2000u);
-  // ACKs carry the environment's addressing.
-  EXPECT_EQ(env.sent[0].src, 2u);
+  // ACKs are addressed to the environment's peer.
   EXPECT_EQ(env.sent[0].dst, 1u);
 }
 

@@ -117,6 +117,43 @@ TEST(SpecValidate, BadCbrRejected) {
   EXPECT_EQ(code_of(spec), Code::kBadCbr);
 }
 
+// A segment's payload is 16 bits on the packet, so an MSS must lie in
+// 1..65'535, whether it is set on one flow or on a flow set's prototype.
+TEST(SpecValidate, FlowZeroMssRejected) {
+  ScenarioSpec spec = minimal_dumbbell();
+  spec.flows[0].tcp.mss = 0;
+  EXPECT_EQ(code_of(spec), Code::kBadSegment);
+}
+
+TEST(SpecValidate, FlowMssAbove16BitsRejected) {
+  ScenarioSpec spec = minimal_dumbbell();
+  spec.flows[0].tcp.mss = 65'535;
+  EXPECT_EQ(code_of(spec), std::nullopt);
+  spec.flows[0].tcp.mss = 65'536;
+  EXPECT_EQ(code_of(spec), Code::kBadSegment);
+}
+
+ScenarioSpec flow_set_spec(std::uint32_t mss) {
+  ScenarioSpec spec;
+  FlowSet set;
+  set.count = 2;
+  set.proto.bytes = 20'000;
+  set.proto.tcp.mss = mss;
+  spec.add_flow_set(set);
+  spec.horizon = sim::Time::seconds(30);
+  return spec;
+}
+
+TEST(SpecValidate, FlowSetZeroMssRejected) {
+  EXPECT_EQ(code_of(flow_set_spec(1'000)), std::nullopt);
+  EXPECT_EQ(code_of(flow_set_spec(0)), Code::kBadSegment);
+}
+
+TEST(SpecValidate, FlowSetMssAbove16BitsRejected) {
+  EXPECT_EQ(code_of(flow_set_spec(65'535)), std::nullopt);
+  EXPECT_EQ(code_of(flow_set_spec(65'536)), Code::kBadSegment);
+}
+
 TEST(SpecValidate, TryBuildReportsTheError) {
   ScenarioSpec spec = minimal_dumbbell();
   spec.flows.clear();
@@ -136,6 +173,7 @@ TEST(SpecValidate, CodeNamesAreStable) {
   EXPECT_STREQ(to_string(Code::kBadEndpoint), "bad-endpoint");
   EXPECT_STREQ(to_string(Code::kUnroutable), "unroutable");
   EXPECT_STREQ(to_string(Code::kBadCbr), "bad-cbr");
+  EXPECT_STREQ(to_string(Code::kBadSegment), "bad-segment");
 }
 
 }  // namespace

@@ -95,8 +95,8 @@ TEST(RttBias, PerFlowDelayChangesPacketTiming) {
   k1.attach_agent(10, &a0);
   k2.attach_agent(11, &a1);
 
-  s1.inject(test::make_data(10, 0, 1000, s1.id(), k1.id()));
-  s2.inject(test::make_data(11, 0, 1000, s2.id(), k2.id()));
+  s1.inject(test::make_data(10, 0, 1000, k1.id()));
+  s2.inject(test::make_data(11, 0, 1000, k2.id()));
   sim.run();
   // Flow 1's access link adds exactly 50 ms of one-way propagation.
   EXPECT_EQ(a1.arrived - a0.arrived, sim::Time::milliseconds(50));

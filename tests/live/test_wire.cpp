@@ -11,6 +11,11 @@
 namespace rrtcp::live {
 namespace {
 
+// Little-endian u64 store, for mutating encoded datagrams.
+void put_u64(std::uint8_t* b, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) b[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
 net::Packet sample_data() {
   net::Packet p;
   p.uid = 0x0123456789abcdefULL;
@@ -33,9 +38,9 @@ net::Packet sample_ack() {
   p.tcp.ack = 124'000;
   p.tcp.ece = true;
   p.tcp.n_sack = 3;
-  p.tcp.sack[0] = {126'000, 127'000};
-  p.tcp.sack[1] = {129'000, 131'000};
-  p.tcp.sack[2] = {133'000, 134'000};
+  p.tcp.set_sack_block(0, {126'000, 127'000});
+  p.tcp.set_sack_block(1, {129'000, 131'000});
+  p.tcp.set_sack_block(2, {133'000, 134'000});
   return p;
 }
 
@@ -74,7 +79,8 @@ TEST(Wire, SackAckRoundTrips) {
   ASSERT_TRUE(decode(buf, n, &out));
   EXPECT_EQ(out.tcp.ack, in.tcp.ack);
   ASSERT_EQ(out.tcp.n_sack, 3);
-  EXPECT_EQ(out.tcp.sack, in.tcp.sack);
+  for (int i = 0; i < 3; ++i)
+    EXPECT_EQ(out.tcp.sack_block(i), in.tcp.sack_block(i));
   EXPECT_TRUE(out.tcp.ece);
 }
 
@@ -132,6 +138,49 @@ TEST(Wire, DecodeRejectsMalformedDatagrams) {
   rejects([](std::uint8_t*) {}, kWireHeaderBytes - 1);      // truncated hdr
   rejects([](std::uint8_t*) {}, n - 1);                     // truncated sack
   rejects([](std::uint8_t*) {}, n + 1);                     // trailing junk
+
+  // SACK blocks must fit the packet's 32-bit offsets above ack = 124'000.
+  // Block 0's begin is at byte 48, its end at byte 56.
+  rejects([](std::uint8_t* b) { put_u64(b + 48, 123'999); }, n);  // < ack
+  rejects([](std::uint8_t* b) { put_u64(b + 56, 125'999); }, n);  // end<begin
+  rejects([](std::uint8_t* b) { put_u64(b + 56, 124'000 + (1ULL << 32)); },
+          n);  // ends 2^32 bytes past ack
+}
+
+TEST(Wire, DecodeAcceptsSackBlockEndingAtTheOffsetLimit) {
+  std::uint8_t buf[kMaxWireDatagram];
+  const std::size_t n = encode(sample_ack(), buf, sizeof buf);
+  ASSERT_GT(n, 0u);
+  const std::uint64_t end = 124'000 + 0xFFFF'FFFFULL;
+  put_u64(buf + 56, end);
+
+  net::Packet out;
+  ASSERT_TRUE(decode(buf, n, &out));
+  EXPECT_EQ(out.tcp.sack_block(0), (net::SackBlock{126'000, end}));
+}
+
+// The payload check runs on the wire's 32-bit value: 66'536 would narrow
+// to the 16-bit field's 1'000, which matches the datagram's filler length.
+TEST(Wire, DecodeRejectsPayloadAboveMaxBeforeNarrowing) {
+  std::uint8_t buf[kMaxWireDatagram];
+  const std::size_t n = encode(sample_data(), buf, sizeof buf);
+  ASSERT_EQ(n, kWireHeaderBytes + 1000u);
+  buf[40] = 0xe8;  // 66'536 = 0x103e8 LE
+  buf[41] = 0x03;
+  buf[42] = 0x01;
+
+  net::Packet out;
+  out.uid = 0xdeadbeef;
+  EXPECT_FALSE(decode(buf, n, &out));
+  EXPECT_EQ(out.uid, 0xdeadbeefu);
+
+  std::vector<std::uint8_t> big(kWireHeaderBytes + kMaxWirePayload + 1, 0);
+  std::memcpy(big.data(), buf, kWireHeaderBytes);
+  const std::uint32_t over = kMaxWirePayload + 1;
+  for (int i = 0; i < 4; ++i)
+    big[40 + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(over >> (8 * i));
+  EXPECT_FALSE(decode(big.data(), big.size(), &out));
 }
 
 TEST(Wire, DecodeRejectsFillerLengthMismatch) {

@@ -183,7 +183,6 @@ TEST(NodeRouting, RouteLookupPrefersSpecificOverDefault) {
   n.set_default_route(&fallback);
 
   Packet p;
-  p.src = NodeId{0};
   p.dst = NodeId{7};
   n.receive(p);
   p.dst = NodeId{8};
@@ -207,7 +206,6 @@ TEST(NodeRouting, ReplaceRouteTargetRewritesAllMatchingEntries) {
   EXPECT_EQ(n.replace_route_target(&old_h, &new_h), 3);
 
   Packet p;
-  p.src = NodeId{0};
   for (std::uint32_t d : {1u, 2u, 3u, 9u}) {
     p.dst = NodeId{d};
     n.receive(p);
@@ -225,7 +223,6 @@ TEST(NodeRouting, ManyRoutesAllResolve) {
   for (std::uint32_t d = 1; d <= 400; ++d)
     n.add_route(NodeId{d}, &handlers[d - 1]);
   Packet p;
-  p.src = NodeId{0};
   for (std::uint32_t d = 1; d <= 400; ++d) {
     p.dst = NodeId{d};
     n.receive(p);

@@ -50,7 +50,6 @@ namespace {
 net::Packet make_test_packet(std::uint32_t bytes) {
   net::Packet p;
   p.flow = 1;
-  p.src = 0;
   p.dst = 1;
   p.size_bytes = bytes;
   return p;

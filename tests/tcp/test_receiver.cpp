@@ -111,7 +111,7 @@ TEST_F(ReceiverFixture, SackBlocksReportHoles) {
   auto rcv = make(cfg);
   rcv.receive(make_data(kFlow, 2000, 1000));
   ASSERT_EQ(wire.last().tcp.n_sack, 1);
-  EXPECT_EQ(wire.last().tcp.sack[0], (net::SackBlock{2000, 3000}));
+  EXPECT_EQ(wire.last().tcp.sack_block(0), (net::SackBlock{2000, 3000}));
 }
 
 TEST_F(ReceiverFixture, MostRecentSackBlockFirst) {
@@ -123,9 +123,9 @@ TEST_F(ReceiverFixture, MostRecentSackBlockFirst) {
   rcv.receive(make_data(kFlow, 8000, 1000));
   const auto& h = wire.last().tcp;
   ASSERT_EQ(h.n_sack, 3);
-  EXPECT_EQ(h.sack[0], (net::SackBlock{8000, 9000}));  // newest first
-  EXPECT_EQ(h.sack[1], (net::SackBlock{5000, 6000}));
-  EXPECT_EQ(h.sack[2], (net::SackBlock{2000, 3000}));
+  EXPECT_EQ(h.sack_block(0), (net::SackBlock{8000, 9000}));  // newest first
+  EXPECT_EQ(h.sack_block(1), (net::SackBlock{5000, 6000}));
+  EXPECT_EQ(h.sack_block(2), (net::SackBlock{2000, 3000}));
 }
 
 TEST_F(ReceiverFixture, SackBlockGrowsWithAdjacentData) {
@@ -136,7 +136,7 @@ TEST_F(ReceiverFixture, SackBlockGrowsWithAdjacentData) {
   rcv.receive(make_data(kFlow, 3000, 1000));  // extends the same block
   const auto& h = wire.last().tcp;
   ASSERT_EQ(h.n_sack, 1);
-  EXPECT_EQ(h.sack[0], (net::SackBlock{2000, 4000}));
+  EXPECT_EQ(h.sack_block(0), (net::SackBlock{2000, 4000}));
 }
 
 TEST_F(ReceiverFixture, AtMostThreeSackBlocks) {

@@ -12,7 +12,8 @@ net::TcpHeader ack_with_sacks(std::uint64_t ack,
   net::TcpHeader h;
   h.ack = ack;
   h.n_sack = static_cast<std::uint8_t>(sacks.size());
-  for (std::size_t i = 0; i < sacks.size(); ++i) h.sack[i] = sacks[i];
+  for (std::size_t i = 0; i < sacks.size(); ++i)
+    h.set_sack_block(static_cast<int>(i), sacks[i]);
   return h;
 }
 
@@ -90,7 +91,8 @@ TEST(Scoreboard, PartialOverlapWithAckTruncatesBlock) {
 
 TEST(Scoreboard, IgnoresStaleBlocksBelowAck) {
   Scoreboard b;
-  b.update(ack_with_sacks(5000, {{1000, 2000}}), 5000);
+  // A reordered old ACK: its block lies below the current snd_una.
+  b.update(ack_with_sacks(1000, {{1000, 2000}}), 5000);
   EXPECT_EQ(b.sacked_bytes(), 0u);
 }
 

@@ -56,34 +56,31 @@ class UidRecorder final : public net::QueueObserver {
 };
 
 inline net::Packet make_data(net::FlowId flow, std::uint64_t seq,
-                             std::uint32_t len, net::NodeId src = 1,
-                             net::NodeId dst = 2) {
+                             std::uint32_t len, net::NodeId dst = 2) {
   net::Packet p;
   p.uid = net::packet_uid(flow, net::PacketType::kData, seq);
   p.flow = flow;
-  p.src = src;
   p.dst = dst;
   p.type = net::PacketType::kData;
   p.size_bytes = 1000;
   p.tcp.seq = seq;
-  p.tcp.payload = len;
+  p.tcp.payload = static_cast<std::uint16_t>(len);
   return p;
 }
 
 inline net::Packet make_ack(net::FlowId flow, std::uint64_t ack,
                             std::vector<net::SackBlock> sacks = {},
-                            net::NodeId src = 2, net::NodeId dst = 1) {
+                            net::NodeId dst = 1) {
   net::Packet p;
   p.uid = net::packet_uid(flow, net::PacketType::kAck, ack);
   p.flow = flow;
-  p.src = src;
   p.dst = dst;
   p.type = net::PacketType::kAck;
   p.size_bytes = 40;
   p.tcp.ack = ack;
   p.tcp.n_sack = static_cast<std::uint8_t>(sacks.size());
   for (std::size_t i = 0; i < sacks.size() && i < net::kMaxSackBlocks; ++i)
-    p.tcp.sack[i] = sacks[i];
+    p.tcp.set_sack_block(static_cast<int>(i), sacks[i]);
   return p;
 }
 

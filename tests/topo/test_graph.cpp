@@ -2,6 +2,8 @@
 // lowest-link-index tie-break), explicit route overrides, and the pinned
 // layout a dumbbell ScenarioSpec resolves to.
 #include <algorithm>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -191,13 +193,23 @@ TEST(Dumbbell, EndToEndPathWorksBothWays) {
   k2.attach_agent(3, &rcv);
   s2.attach_agent(3, &snd);
 
-  s2.inject(test::make_data(3, 0, 1000, s2.id(), k2.id()));   // data S2 -> K2
-  k2.inject(test::make_ack(3, 1000, {}, k2.id(), s2.id()));  // ACK K2 -> S2
+  s2.inject(test::make_data(3, 0, 1000, k2.id()));   // data S2 -> K2
+  k2.inject(test::make_ack(3, 1000, {}, s2.id()));  // ACK K2 -> S2
   sim.run();
   ASSERT_EQ(rcv.packets.size(), 1u);
   ASSERT_EQ(snd.packets.size(), 1u);
-  EXPECT_EQ(rcv.packets[0].hops, 3u);  // S->R1, R1->R2, R2->K
-  EXPECT_EQ(snd.packets[0].hops, 3u);
+  // Each packet crossed exactly its three links, and no link carried both.
+  const int s = md.senders[1];
+  const int k = md.receivers[1];
+  const std::set<std::pair<int, int>> path = {
+      {s, md.r1}, {md.r1, md.r2}, {md.r2, k},   // data S->R1, R1->R2, R2->K
+      {k, md.r2}, {md.r2, md.r1}, {md.r1, s}};  // ACK K->R2, R2->R1, R1->S
+  for (int i = 0; i < g.n_links(); ++i) {
+    const topo::LinkSpec& l = md.spec.links[static_cast<std::size_t>(i)];
+    EXPECT_EQ(g.link(i).packets_delivered(),
+              path.count({l.from, l.to}) > 0 ? 1u : 0u)
+        << "link " << l.from << "->" << l.to;
+  }
 }
 
 TEST(ParkingLot, LongPathCrossesEveryBottleneck) {

@@ -1,24 +1,26 @@
 // Lint-corpus fixture: MUST fire rrtcp-smallfn-inline.
 // EXPECT: rrtcp-smallfn-inline
 //
-// A schedule call whose lambda captures a 512-byte buffer by value. It
-// compiles (SmallFn falls back to the heap and counts it), but the event
-// no longer fits the 160-byte inline budget — the scheduler would
-// allocate on every such schedule, which is exactly what the check turns
-// into a diagnostic at the call site.
+// Schedule calls whose lambdas capture a 120-byte buffer by value. They
+// compile (SmallFn falls back to the heap and counts it), but the events
+// no longer fit the 80-byte inline budget (sim::kEventInlineBytes) — the
+// scheduler would allocate on every such schedule, which is exactly what
+// the check turns into a diagnostic at the call site. 120 bytes fit the
+// older 160-byte budget, so this fixture also fails if the lint budget
+// drifts above the scheduler's.
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 
 namespace corpus {
 
 void arm_oversized(rrtcp::sim::Simulator& sim) {
-  char blob[512] = {};
+  char blob[120] = {};
   sim.schedule_in(rrtcp::sim::Time::milliseconds(1),
-                  [blob] { (void)blob[0]; });  // 512B capture > 160B budget
+                  [blob] { (void)blob[0]; });  // 120B capture > 80B budget
 }
 
 void arm_oversized_reserved(rrtcp::sim::Simulator& sim) {
-  char blob[512] = {};
+  char blob[120] = {};
   const auto seq = sim.reserve_seq();
   sim.schedule_reserved(rrtcp::sim::Time::milliseconds(1), seq,
                         [blob] { (void)blob[0]; });  // same, reserved key

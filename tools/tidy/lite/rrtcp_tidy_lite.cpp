@@ -30,6 +30,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/simulator.hpp"
+
 namespace {
 
 struct Diagnostic {
@@ -610,12 +612,13 @@ void check_nondet_iteration(const SourceFile& f, const FlatText& ft,
 // At schedule_at/schedule_in/schedule_reserved call sites taking a
 // lambda, estimate the
 // by-value capture footprint from visible declarations (char arrays and
-// std::array<char, N>); flag estimates above the inline budget. Purely
-// size-visible cases only — the plugin computes real sizeof.
+// std::array<char, N>); flag estimates above the scheduler's inline budget
+// (sim::kEventInlineBytes). Purely size-visible cases only — the plugin
+// computes real sizeof.
 
 void check_smallfn_inline(const SourceFile& f, const FlatText& ft,
                           std::vector<Diagnostic>& diags) {
-  constexpr std::size_t kInlineBytes = 160;
+  constexpr std::size_t kInlineBytes = rrtcp::sim::kEventInlineBytes;
   // Visible fixed-size char buffers: name -> bytes.
   std::map<std::string, std::size_t> buffers;
   for (std::size_t p = find_word(ft.text, "char"); p != std::string::npos;

@@ -10,7 +10,7 @@ namespace clang::tidy::rrtcp {
 SmallFnInlineCheck::SmallFnInlineCheck(StringRef Name,
                                        ClangTidyContext* Context)
     : ClangTidyCheck(Name, Context),
-      InlineBytes(Options.get("InlineBytes", 160U)),
+      InlineBytes(Options.get("InlineBytes", 80U)),  // sim::kEventInlineBytes
       InlineAlign(Options.get("InlineAlign", 16U)) {}
 
 void SmallFnInlineCheck::storeOptions(ClangTidyOptions::OptionMap& Opts) {

@@ -1,5 +1,5 @@
 // rrtcp-smallfn-inline — Simulator::schedule_at/schedule_in/
-// schedule_reserved store their callable in a SmallFn<160> inline
+// schedule_reserved store their callable in a SmallFn<80> inline
 // buffer; a callable that doesn't fit silently falls back to heap
 // allocation (counted by
 // callback_heap_fallbacks, caught at runtime by the alloc-regression
