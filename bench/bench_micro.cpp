@@ -11,10 +11,11 @@
 //   pooled — the production Simulator (chunked slot pool, SmallFn inline
 //            captures, 4-ary heap).
 //
-// The headline row is `forward`: a link-delivery-shaped event chain whose
-// callbacks capture a full 1000 B Packet — the exact shape of the hot
-// path in src/net/link.cpp. The pooled engine's speedup over legacy and
-// both raw events/sec numbers land in BENCH_micro.json, the baseline
+// The headline row is `forward`: link-delivery-shaped chains of 1000 B
+// packets. Legacy schedules one packet-capturing event per hop (the old
+// shape of src/net/link.cpp); pooled holds each packet in a net::DelayLine
+// the way a link's pipe does now. The pooled engine's speedup over legacy
+// and both raw events/sec numbers land in BENCH_micro.json, the baseline
 // artifact EXPERIMENTS.md §"Performance baselines" explains how to record
 // and compare.
 //
@@ -37,6 +38,7 @@
 
 #include "harness/result_sink.hpp"
 #include "harness/scenario.hpp"
+#include "net/delay_line.hpp"
 #include "net/drop_tail.hpp"
 #include "net/node.hpp"
 #include "net/red.hpp"
@@ -104,16 +106,22 @@ void keep_best(Measure& best, const Measure& m) {
 }
 
 // ---------------------------------------------------------------------------
-// forward: link-delivery-shaped event chains. Each callback captures a
-// Packet by value and schedules the next hop — what Link::try_transmit
-// does per packet. `chains` concurrent chains share one budget; the
-// warmup pass sizes the event pool / heap so the measured pass sees the
-// steady state.
+// forward: link-delivery-shaped chains. `chains` packets circulate; each
+// hop waits 10 us plus a per-hop jitter and is one event, and the chains
+// share one budget of hops. The warmup pass sizes the event pool / heap
+// (and the pooled side's lines) so the measured pass sees the steady
+// state.
+//
+// legacy: each hop is an event whose callback captures the Packet by
+// value and schedules the next hop — what Link::transmit_next did per
+// packet before packets in flight moved into net::DelayLine.
 template <typename SimT>
 struct ForwardChain {
+  ForwardChain(SimT& s, int /*chains*/) : sim{&s} {}
   SimT* sim;
   std::uint64_t remaining = 0;
 
+  void start(int /*chain*/, net::Packet pkt) { hop(pkt); }
   void hop(net::Packet pkt) {
     // Per-hop delays vary as real serialization/propagation times do;
     // lockstep identical timestamps would exercise only the FIFO
@@ -128,16 +136,49 @@ struct ForwardChain {
   }
 };
 
-template <typename SimT>
+// pooled: each chain's packet waits in its own net::DelayLine, as in a
+// link's pipe, and the line's sink sends it on. Same delays as legacy,
+// but the hop count lives in the chain, not in the packet: a hop copies
+// the packet unmodified, as Link::transmit_next does.
+struct LineChains {
+  LineChains(sim::Simulator& s, int chains)
+      : sim{&s}, hops(static_cast<std::size_t>(chains)) {
+    for (int c = 0; c < chains; ++c)
+      lines.push_back(std::make_unique<net::DelayLine>(
+          s, [this, c](sim::Time, net::Packet& p) {
+            if (remaining == 0) return;
+            --remaining;
+            hop(c, p);
+          }));
+  }
+  sim::Simulator* sim;
+  std::uint64_t remaining = 0;
+  std::vector<std::uint64_t> hops;
+  std::vector<std::unique_ptr<net::DelayLine>> lines;
+
+  void start(int c, const net::Packet& pkt) {
+    hops[static_cast<std::size_t>(c)] = pkt.tcp.seq;
+    hop(c, pkt);
+  }
+  void hop(int c, const net::Packet& pkt) {
+    const auto i = static_cast<std::size_t>(c);
+    const auto jitter = static_cast<std::int64_t>(++hops[i] * 7919 % 997);
+    lines[i]->push(sim->now() + sim::Time::microseconds(10) +
+                       sim::Time::nanoseconds(jitter),
+                   pkt);
+  }
+};
+
+template <typename SimT, typename Chains>
 Measure run_forward(std::uint64_t warmup_events, std::uint64_t events,
                     int chains, int repeat) {
   Measure best;
   for (int r = 0; r < repeat; ++r) {
     SimT sim;
-    ForwardChain<SimT> chain{&sim};
+    Chains chain{sim, chains};
     auto pump = [&](std::uint64_t n) {
       chain.remaining = n;
-      for (int c = 0; c < chains; ++c) chain.hop(bench_packet(c));
+      for (int c = 0; c < chains; ++c) chain.start(c, bench_packet(c));
       sim.run();
     };
     pump(warmup_events);
@@ -525,9 +566,10 @@ int main(int argc, char** argv) {
 
   // The headline comparison: identical forwarding workload, both engines.
   const Measure fwd_legacy =
-      run_forward<sim::LegacySimulator>(fwd_warmup, fwd_events, chains, repeat);
-  const Measure fwd_pooled =
-      run_forward<sim::Simulator>(fwd_warmup, fwd_events, chains, repeat);
+      run_forward<sim::LegacySimulator, ForwardChain<sim::LegacySimulator>>(
+          fwd_warmup, fwd_events, chains, repeat);
+  const Measure fwd_pooled = run_forward<sim::Simulator, LineChains>(
+      fwd_warmup, fwd_events, chains, repeat);
   const double speedup =
       fwd_legacy.per_sec() > 0 ? fwd_pooled.per_sec() / fwd_legacy.per_sec()
                                : 0.0;

@@ -268,7 +268,16 @@ std::string stream_name(const std::string& base, std::size_t index) {
 FaultInjector::FaultInjector(sim::Simulator& sim, net::PacketHandler& inner,
                              FaultPlan plan, std::uint64_t seed,
                              std::string name)
-    : sim_{sim}, inner_{inner}, plan_{std::move(plan)}, name_{std::move(name)} {
+    : sim_{sim},
+      inner_{inner},
+      plan_{std::move(plan)},
+      name_{std::move(name)},
+      spiked_{sim, [this](sim::Time, net::Packet& p) {
+                emerge(std::move(p), false);
+              }},
+      spiked_dup_{sim, [this](sim::Time, net::Packet& p) {
+                    emerge(std::move(p), true);
+                  }} {
   specs_.reserve(plan_.faults.size());
   for (std::size_t i = 0; i < plan_.faults.size(); ++i) {
     // One named stream per spec: draws for spec i never depend on how many
@@ -331,10 +340,7 @@ void FaultInjector::send(net::Packet p) {
     // The held packet is still "before" the wrapped link: when it emerges
     // it re-checks the drop windows (emerge()), so a spike cannot carry a
     // packet across the start of a blackhole.
-    auto release = [this, p = std::move(p), duplicate]() mutable {
-      emerge(std::move(p), duplicate);
-    };
-    sim_.schedule_in(extra, std::move(release));
+    (duplicate ? spiked_dup_ : spiked_).push(now + extra, std::move(p));
     return;
   }
 

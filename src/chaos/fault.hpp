@@ -23,6 +23,7 @@
 #include <string_view>
 #include <vector>
 
+#include "net/delay_line.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "sim/rng.hpp"
@@ -160,6 +161,10 @@ class FaultInjector final : public net::PacketHandler {
   FaultPlan plan_;
   std::string name_;
   std::vector<ArmedSpec> specs_;
+  // Delay-spiked packets until they emerge, one line per `duplicate`
+  // value. Spikes differ per spec, so a later packet can overtake.
+  net::DelayLine spiked_;
+  net::DelayLine spiked_dup_;
 
   std::uint64_t dropped_ = 0;
   std::uint64_t duplicated_ = 0;

@@ -8,7 +8,10 @@ namespace rrtcp::net {
 
 Link::Link(sim::Simulator& sim, LinkConfig cfg,
            std::unique_ptr<QueueDisc> queue)
-    : sim_{sim}, cfg_{std::move(cfg)}, queue_{std::move(queue)} {
+    : sim_{sim},
+      cfg_{std::move(cfg)},
+      queue_{std::move(queue)},
+      pipe_{sim, [this](sim::Time at, Packet& p) { deliver(at, p); }} {
   RRTCP_ASSERT(cfg_.bandwidth_bps > 0);
   RRTCP_ASSERT(cfg_.prop_delay >= sim::Time::zero());
   RRTCP_ASSERT(queue_ != nullptr);
@@ -39,46 +42,40 @@ void Link::transmit_next() {
   const sim::Time tx = tx_time(next->size_bytes);
   busy_time_ += tx;
   // Deliver after serialization + propagation (+ any reordering delay);
-  // free the transmitter after serialization alone.
-  Packet pkt = std::move(*next);
-  const sim::Time jitter =
-      reorder_ ? reorder_->delay_for_next_packet() : sim::Time::zero();
-  // The forwarding path must stay allocation-free: the rrtcp-smallfn-inline
-  // check verifies at every schedule call site that the capture fits the
-  // scheduler's inline buffer.
-  // Absolute serialization-end computed once for both keys. Keying the
-  // delivery *before* the release is load-bearing: the insertion-sequence
-  // order is part of the pinned golden traces, and the scheduler's
-  // same-tick batching (DESIGN.md §11) relies on same-instant schedules
-  // arriving in ascending sequence to chain a burst of deliveries behind
-  // one heap entry.
+  // free the transmitter after serialization alone. The delivery's key is
+  // reserved (by the pipe's push) *before* the release's: the insertion
+  // order is part of the pinned golden traces.
   const sim::Time done = sim_.now() + tx;
   if (remote_ != nullptr) {
     // Cut link: the destination node lives in another shard. Hand off at
     // serialization end — the propagation pipe is the lookahead window the
     // conservative scheduler relies on, so the receiving shard sees the
     // packet a full prop_delay before its arrival instant.
-    const sim::Time arrival = done + cfg_.prop_delay + jitter;
-    auto hand_off = [this, pkt, arrival]() mutable {
-      ++delivered_;
-      bytes_delivered_ += pkt.size_bytes;
-      remote_->push(arrival, std::move(pkt));
-    };
-    sim_.schedule_at(done, std::move(hand_off));
+    RRTCP_ASSERT_MSG(reorder_ == nullptr,
+                     "a cut link cannot carry reorder jitter");
+    pipe_.push(done, std::move(*next));
   } else {
-    auto deliver = [this, pkt]() mutable {
-      ++delivered_;
-      bytes_delivered_ += pkt.size_bytes;
-      RRTCP_ASSERT_MSG(dst_ != nullptr, "link has no destination node");
-      dst_->receive(std::move(pkt));
-    };
-    sim_.schedule_at(done + cfg_.prop_delay + jitter, std::move(deliver));
+    const sim::Time jitter =
+        reorder_ ? reorder_->delay_for_next_packet() : sim::Time::zero();
+    pipe_.push(done + cfg_.prop_delay + jitter, std::move(*next));
   }
   // Reserve the release key even when nothing waits: a send() before
   // (done, release_seq_) passes schedules the release under it.
   busy_until_ = done;
   release_seq_ = sim_.reserve_seq();
   if (!queue_->empty()) schedule_release();
+}
+
+void Link::deliver(sim::Time at, Packet& p) {
+  ++delivered_;
+  bytes_delivered_ += p.size_bytes;
+  if (remote_ != nullptr) {
+    // `at` is the serialization end; the packet arrives one pipe later.
+    remote_->push(at + cfg_.prop_delay, std::move(p));
+    return;
+  }
+  RRTCP_ASSERT_MSG(dst_ != nullptr, "link has no destination node");
+  dst_->receive(std::move(p));
 }
 
 void Link::schedule_release() {

@@ -15,12 +15,19 @@
 // reserved at transmit time and scheduled if the queue is non-empty then,
 // or when a later send() finds the transmitter still busy. A release that
 // would find the queue empty is never scheduled.
+//
+// Packets in the propagation pipe are not events either: they wait in the
+// link's DelayLine (net/delay_line.hpp), each keyed at transmit time with
+// the (arrival, seq) its delivery event would have had, and only the
+// front one has an event. A cut link's line holds packets until their
+// serialization end instead, the instant they are handed off.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
 
+#include "net/delay_line.hpp"
 #include "net/loss_model.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
@@ -35,7 +42,7 @@ namespace rrtcp::net {
 // another simulation shard. When installed, the link hands the packet off
 // at serialization end (the earliest instant the sending engine knows the
 // full arrival schedule), stamped with the absolute arrival time
-// (serialization end + propagation + reorder jitter), instead of calling
+// (serialization end + propagation), instead of calling
 // dst()->receive() locally. push() runs on the sending shard's thread; the
 // receiving shard drains it only at synchronization barriers.
 class RemoteSink {
@@ -61,7 +68,9 @@ class Link final : public PacketHandler {
   Node* dst() const { return dst_; }
 
   // Route deliveries to another shard instead of dst(). Set once by the
-  // sharded engine's builder; mutually exclusive with local delivery.
+  // sharded engine's builder; mutually exclusive with local delivery and
+  // with a reorder model (the arrival instant is serialization end plus
+  // the propagation delay, nothing else).
   void set_remote_sink(RemoteSink* sink) { remote_ = sink; }
   RemoteSink* remote_sink() const { return remote_; }
 
@@ -108,6 +117,8 @@ class Link final : public PacketHandler {
   }
   RRTCP_HOT void transmit_next();
   RRTCP_HOT void schedule_release();
+  // The pipe's sink: the packet leaves the link at `at`.
+  RRTCP_HOT void deliver(sim::Time at, Packet& p);
 
   sim::Simulator& sim_;
   LinkConfig cfg_;
@@ -126,6 +137,9 @@ class Link final : public PacketHandler {
   std::uint64_t bytes_delivered_ = 0;
   std::uint64_t loss_data_drops_ = 0;
   sim::Time busy_time_ = sim::Time::zero();
+  // Packets past the transmitter: in propagation, or (cut link) waiting
+  // for their serialization end.
+  DelayLine pipe_;
 };
 
 }  // namespace rrtcp::net

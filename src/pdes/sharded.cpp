@@ -54,9 +54,12 @@ ShardedScenario::ShardedScenario(harness::ScenarioSpec spec)
     const int head = g.spec().links[static_cast<std::size_t>(li)].to;
     channels_.push_back(std::make_unique<Channel>(li));
     g.link(li).set_remote_sink(channels_.back().get());
-    channel_dst_.push_back(&g.node(head));
-    channel_dst_shard_.push_back(
-        part_.node_shard[static_cast<std::size_t>(head)]);
+    net::Node* dst = &g.node(head);
+    const int dst_shard = part_.node_shard[static_cast<std::size_t>(head)];
+    channel_dst_shard_.push_back(dst_shard);
+    receive_.push_back(std::make_unique<net::DelayLine>(
+        scenario_->engine(dst_shard),
+        [dst](sim::Time, net::Packet& p) { dst->receive(std::move(p)); }));
   }
   merge_scratch_.resize(static_cast<std::size_t>(n));
   start_workers();
@@ -155,7 +158,8 @@ std::size_t ShardedScenario::merge_channels(sim::Time count_upto) {
         merge_scratch_[static_cast<std::size_t>(channel_dst_shard_[c])];
     for (Channel::Msg& m : inbox)
       scratch.push_back(Pending{m.arrival_ps, ch.link_index(), m.seq,
-                                channel_dst_[c], std::move(m.pkt)});
+                                static_cast<std::uint32_t>(c),
+                                std::move(m.pkt)});
     inbox.clear();
   }
 
@@ -173,14 +177,12 @@ std::size_t ShardedScenario::merge_channels(sim::Time count_upto) {
                 if (a.link != b.link) return a.link < b.link;
                 return a.seq < b.seq;
               });
-    sim::Simulator& sim = scenario_->engine(static_cast<int>(s));
+    // Each push reserves the arrival's key on the destination engine, so
+    // keys follow the canonical order too.
     for (Pending& p : scratch) {
       const sim::Time at = sim::Time::picoseconds(p.arrival_ps);
       if (at <= count_upto) ++due;
-      net::Node* dst = p.dst;
-      sim.schedule_at(at, [dst, pkt = std::move(p.pkt)]() mutable {
-        dst->receive(std::move(pkt));
-      });
+      receive_[p.channel]->push(at, std::move(p.pkt));
     }
     scratch.clear();
   }

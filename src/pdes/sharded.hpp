@@ -11,16 +11,18 @@
 //   calls Simulator::run_before((k+1)*LA), so no event at or past the
 //   boundary fires early. A packet crossing a cut link is handed off at
 //   its serialization end t_done (net::RemoteSink), stamped with its
-//   arrival time t_done + prop_delay + jitter >= t_done + LA >= (k+1)*LA —
+//   arrival time t_done + prop_delay >= t_done + LA >= (k+1)*LA —
 //   i.e. every cross-shard packet produced in round k arrives at or after
 //   the next boundary, so merging inboxes AT the boundary can never
 //   deliver into a shard's past. That is the whole causality proof: the
 //   propagation pipe of the cut links funds the lookahead.
 //
 // Between rounds the coordinator thread (the caller of run()) drains every
-// channel and schedules the arrivals into the destination shards in one
-// canonical order — (arrival time, cut-link index, per-channel sequence) —
-// so the merge is deterministic for ANY shard count and thread timing.
+// channel and pushes the arrivals into each cut link's receive line on the
+// destination shard (a net::DelayLine: one event per busy line, not one
+// per packet) in one canonical order — (arrival time, cut-link index,
+// per-channel sequence) — so the merge, and the event keys it reserves,
+// are deterministic for ANY shard count and thread timing.
 // Determinism contract (DESIGN.md §17): a fixed spec at a fixed shard
 // count is bit-repeatable regardless of thread scheduling, and across
 // shard counts 1, 2, 4, 8, ... the same ScenarioSpec produces identical
@@ -59,6 +61,7 @@
 #include <vector>
 
 #include "harness/scenario.hpp"
+#include "net/delay_line.hpp"
 #include "net/link.hpp"
 #include "net/node.hpp"
 #include "sim/hot.hpp"
@@ -147,7 +150,7 @@ class ShardedScenario {
     std::int64_t arrival_ps;
     int link;
     std::uint64_t seq;
-    net::Node* dst;
+    std::uint32_t channel;  // index into channels_ and receive_
     net::Packet pkt;
   };
 
@@ -169,10 +172,12 @@ class ShardedScenario {
   // Declared before the scenario so its links, which point at them, die
   // first.
   std::vector<std::unique_ptr<Channel>> channels_;  // one per cut link
-  std::vector<net::Node*> channel_dst_;             // cut link's head node
   std::vector<int> channel_dst_shard_;
   std::vector<std::vector<Pending>> merge_scratch_;  // per dest shard
   std::unique_ptr<harness::Scenario> scenario_;
+  // One per cut link, on its head node's engine: merged arrivals wait here
+  // for their instant and are then received by the head node.
+  std::vector<std::unique_ptr<net::DelayLine>> receive_;
   std::vector<std::uint64_t> executed_;  // per shard
 
   // Round barrier. Workers wait for round_gen_ to advance, run their

@@ -8,8 +8,9 @@
 // Hot-path design (see DESIGN.md §11):
 //
 //  * Event callables live in pooled, chunk-allocated slots with a fixed
-//    inline capture buffer (sim/small_fn.hpp) sized for the largest
-//    forwarding-path lambda (a full Packet plus two words).
+//    inline capture buffer of kEventInlineBytes (sim/small_fn.hpp), two
+//    words: packets in flight wait in net::DelayLine, so no event carries
+//    a Packet, and a slot is one 64-byte cache line.
 //    Slots are recycled through a free list, so steady-state scheduling
 //    performs zero allocations; only captures larger than
 //    kEventInlineBytes fall back to the heap, and that fallback is
@@ -30,7 +31,8 @@
 //  * A key can be reserved before its event exists (reserve_seq() /
 //    schedule_reserved()), and passed() tells whether a key's turn has
 //    come. Link uses the pair to schedule its transmitter release only
-//    when a packet waits for it, at the key the release always had.
+//    when a packet waits for it, at the key the release always had, and
+//    net::DelayLine to give only the front packet of a pipe an event.
 //  * A slot's occupancy is identified by the event's unique insertion
 //    sequence number, so stale heap entries (cancelled events whose slot
 //    was already recycled) are recognized and skipped on pop without any
@@ -58,14 +60,6 @@ namespace rrtcp::sim {
 // Convenience alias for storable event callbacks (the scheduler itself
 // accepts any callable, not just std::function).
 using EventFn = std::function<void()>;
-
-// Inline capture budget per pooled event. Sized for the largest hot-path
-// lambdas, both 80 bytes: a chaos-injector delay capture of
-// {this, Packet, bool} and Link's cut-link hand-off {this, Packet, arrival}.
-// The rrtcp-smallfn-inline lint holds every schedule call site to this
-// budget, and callback_heap_fallbacks() == 0 is asserted by the
-// alloc-regression tests, so forwarding stays allocation-free.
-inline constexpr std::size_t kEventInlineBytes = 80;
 
 namespace detail {
 
@@ -95,8 +89,8 @@ struct EventNode {
   std::uint8_t bucket = 0;         // wheel bucket while wheel-resident
 };
 
-// Two cache lines per slot; a 128-event pool chunk is 16 KiB.
-static_assert(sizeof(EventNode) <= 128);
+// One cache line per slot; a 128-event pool chunk is 8 KiB.
+static_assert(sizeof(EventNode) <= 64);
 
 }  // namespace detail
 
@@ -185,7 +179,9 @@ class Simulator {
   // event keeps its key, and same-instant order is unchanged. The event
   // becomes a plain heap entry (no wheel staging, no same-tick batching).
   // `seq` must come from reserve_seq(), be scheduled at most once, and
-  // the key must not have passed().
+  // the key must not have passed(). Cancelling a reserved event spends
+  // its key: the cancelled heap entry keeps (at, seq) and could match a
+  // second event scheduled under it.
   std::uint64_t reserve_seq() { return ++last_seq_; }
 
   template <typename F>
@@ -297,7 +293,7 @@ class Simulator {
     return a.seq < b.seq;
   }
 
-  // The pool grows 128 nodes (16 KiB) at a time. Each chunk is
+  // The pool grows 128 nodes (8 KiB) at a time. Each chunk is
   // value-initialised when it is created, so the first chunk is set-up
   // cost every scenario pays, however short; a deeper run just takes more
   // chunks on the cold grow path.

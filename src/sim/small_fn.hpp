@@ -1,12 +1,14 @@
 // Inline-storage callable for the event pool.
 //
-// std::function heap-allocates any capture larger than its ~2-pointer SBO,
-// which puts one malloc/free pair on every scheduled link delivery (the
-// lambda captures a full 64-byte Packet by value). SmallFn instead gives
-// every pooled event node a fixed inline buffer sized for the largest
-// hot-path capture; only pathologically large captures fall back to the
-// heap, and that fallback is counted so the perf harness can assert it
-// never happens on the forwarding path.
+// std::function keeps its target behind a pointer it may heap-allocate
+// and adds a manager call to every copy and destroy. SmallFn instead gives
+// every pooled event node a fixed inline buffer of kEventInlineBytes, sized
+// for the largest hot-path capture (one pointer); only oversized captures
+// fall back to the heap, and that fallback is counted so the perf harness
+// can assert it never happens on the forwarding path.
+//
+// This header stays C++17-clean: the rrtcp-smallfn-inline clang-tidy
+// plugin includes it for kEventInlineBytes.
 //
 // SmallFn is deliberately neither copyable nor movable: instances live in
 // stable pool slots (sim/simulator.hpp) and are emplaced/reset in place.
@@ -20,6 +22,18 @@
 #include "sim/hot.hpp"
 
 namespace rrtcp::sim {
+
+// Inline capture budget per pooled event (sim/simulator.hpp): two words.
+// The largest capture left in src/ is one pointer ({this} of a DelayLine,
+// a Link release or a timer; {&sender} of an FTP start), and the buffer
+// is aligned to max_align_t, 16 bytes, either way. Packets never ride in
+// an event — a packet that waits on the clock waits in a net::DelayLine —
+// and that is what lets the event slot shrink to one cache line. The
+// rrtcp-smallfn-inline lint holds every schedule call site to this budget
+// (and flags any Packet capture), and callback_heap_fallbacks() == 0 is
+// asserted by the alloc-regression tests, so forwarding stays
+// allocation-free.
+inline constexpr std::size_t kEventInlineBytes = 16;
 
 template <std::size_t InlineBytes>
 class SmallFn {

@@ -66,24 +66,17 @@ TEST(Packet, SackBlocksRoundTripAsAbsoluteOffsets) {
     EXPECT_EQ(h.sack_block(i), blocks[i]) << "block " << i;
 }
 
-// The two largest forwarding captures, Link's cut-link hand-off
-// {this, Packet, arrival} and the chaos injector's {this, Packet, bool},
-// fill the scheduler's inline budget exactly.
-TEST(Packet, LargestForwardingCapturesFillTheEventBudget) {
+// No event carries a packet: the old link-delivery capture {this, Packet}
+// no longer fits the scheduler's inline budget (it would heap-allocate on
+// every delivery), while a DelayLine's {this} does.
+TEST(Packet, ForwardingCaptureOfAPacketDoesNotFitAnEvent) {
   const void* self = nullptr;
   const Packet pkt;
-  const sim::Time arrival = sim::Time::zero();
-  const bool duplicate = false;
-  auto hand_off = [self, pkt, arrival] {
-    (void)self, (void)pkt, (void)arrival;
-  };
-  auto release = [self, pkt, duplicate] {
-    (void)self, (void)pkt, (void)duplicate;
-  };
-  static_assert(sizeof(hand_off) == sim::kEventInlineBytes);
-  static_assert(sizeof(release) == sim::kEventInlineBytes);
-  static_assert(sim::Simulator::fits_inline<decltype(hand_off)>());
-  static_assert(sim::Simulator::fits_inline<decltype(release)>());
+  auto deliver = [self, pkt] { (void)self, (void)pkt; };
+  auto front = [self] { (void)self; };
+  static_assert(sizeof(deliver) > sim::kEventInlineBytes);
+  static_assert(!sim::Simulator::fits_inline<decltype(deliver)>());
+  static_assert(sim::Simulator::fits_inline<decltype(front)>());
 }
 
 }  // namespace

@@ -1,21 +1,21 @@
 // Allocation-count regression tests for the pooled hot path.
 //
-// This binary overrides global operator new/delete with a counting
-// wrapper (which is why it is its own test binary — the override is
-// program-wide) and asserts the PR's core perf claim as a testable
-// invariant: once the event pool, heap array, and packet rings are warm,
-// forwarding a packet — scheduler event, link transmit/deliver, queue
-// enqueue/dequeue — performs ZERO heap allocations. If a future change
+// This binary links the counting operator new/delete of
+// alloc_counter.cpp (which is why it is its own test binary — the
+// override is program-wide) and asserts the core perf claim as a
+// testable invariant: once the event pool, heap array, packet rings and
+// delay lines are warm, forwarding a packet — scheduler event, link
+// transmit/deliver, queue enqueue/dequeue — performs ZERO heap
+// allocations. If a future change
 // reintroduces a per-event or per-packet allocation, these tests fail
 // with the alloc count rather than a silent throughput regression.
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 
 #include <gtest/gtest.h>
 
+#include "alloc_counter.hpp"
+#include "net/delay_line.hpp"
 #include "net/drop_tail.hpp"
 #include "net/link.hpp"
 #include "net/node.hpp"
@@ -24,25 +24,6 @@
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
 #include "topo/graph.hpp"
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  std::abort();
-}
-void* operator new[](std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n)) return p;
-  std::abort();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace rrtcp {
 namespace {
@@ -55,20 +36,21 @@ net::Packet make_test_packet(std::uint32_t bytes) {
   return p;
 }
 
-// A forwarding-shaped event chain: each callback captures a full Packet
-// (the largest hot-path capture) and reschedules itself, exactly like a
-// link delivery handing off to the next hop.
+// A forwarding-shaped chain: each hop's packet waits in a DelayLine (the
+// way a link's pipe holds it) and its sink pushes it on to the next hop,
+// exactly like a link delivery handing off to the next link.
 TEST(AllocRegression, SchedulerSteadyStateIsAllocationFree) {
   sim::Simulator sim;
   struct Chain {
     sim::Simulator* sim;
     std::uint64_t remaining = 0;
-    void hop(net::Packet pkt) {
-      if (remaining == 0) return;
-      --remaining;
-      auto next = [this, pkt]() mutable { hop(pkt); };
-      static_assert(sim::Simulator::fits_inline<decltype(next)>());
-      sim->schedule_in(sim::Time::microseconds(10), std::move(next));
+    net::DelayLine line{*sim, [this](sim::Time, net::Packet& p) {
+                          if (remaining == 0) return;
+                          --remaining;
+                          hop(p);
+                        }};
+    void hop(const net::Packet& pkt) {
+      line.push(sim->now() + sim::Time::microseconds(10), pkt);
     }
   };
   Chain chain{&sim};
@@ -78,13 +60,12 @@ TEST(AllocRegression, SchedulerSteadyStateIsAllocationFree) {
   chain.hop(make_test_packet(1000));
   sim.run();
 
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocations();
   constexpr std::uint64_t kEvents = 100'000;
   chain.remaining = kEvents;
   chain.hop(make_test_packet(1000));
   sim.run();
-  const std::uint64_t delta =
-      g_allocs.load(std::memory_order_relaxed) - before;
+  const std::uint64_t delta = test::allocations() - before;
 
   EXPECT_EQ(delta, 0u) << "allocations per event: "
                        << static_cast<double>(delta) / kEvents;
@@ -119,11 +100,10 @@ TEST(AllocRegression, LinkForwardingSteadyStateIsAllocationFree) {
 
   pump(256);  // warm: pool chunk, heap vector, packet ring
 
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocations();
   constexpr std::uint64_t kPackets = 10'000;
   pump(kPackets);
-  const std::uint64_t delta =
-      g_allocs.load(std::memory_order_relaxed) - before;
+  const std::uint64_t delta = test::allocations() - before;
 
   EXPECT_EQ(delta, 0u) << "allocations per packet: "
                        << static_cast<double>(delta) / kPackets;
@@ -167,11 +147,10 @@ TEST(AllocRegression, GraphRoutingSteadyStateIsAllocationFree) {
 
   pump(256);  // warm: pool chunk, heap vector, the three hop rings
 
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocations();
   constexpr std::uint64_t kPackets = 10'000;
   pump(kPackets);
-  const std::uint64_t delta =
-      g_allocs.load(std::memory_order_relaxed) - before;
+  const std::uint64_t delta = test::allocations() - before;
 
   EXPECT_EQ(delta, 0u) << "allocations per packet: "
                        << static_cast<double>(delta) / kPackets;
@@ -211,11 +190,10 @@ TEST(AllocRegression, TimerChurnSteadyStateIsAllocationFree) {
 
   churn(64);  // warm: pool chunk, heap vector, chain table
 
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocations();
   constexpr std::uint64_t kRounds = 2'000;
   churn(kRounds);
-  const std::uint64_t delta =
-      g_allocs.load(std::memory_order_relaxed) - before;
+  const std::uint64_t delta = test::allocations() - before;
 
   EXPECT_EQ(delta, 0u) << "allocations per re-arm round: "
                        << static_cast<double>(delta) / kRounds;
@@ -244,11 +222,10 @@ TEST(AllocRegression, QueueRingsSteadyStateAreAllocationFree) {
   cycle(dt, 4);  // warm both rings past the working set
   cycle(red, 4);
 
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocations();
   cycle(dt, 512);
   cycle(red, 512);
-  const std::uint64_t delta =
-      g_allocs.load(std::memory_order_relaxed) - before;
+  const std::uint64_t delta = test::allocations() - before;
   EXPECT_EQ(delta, 0u);
 }
 
@@ -261,14 +238,13 @@ TEST(AllocRegression, QueueConstructionIsAllocationFree) {
   rc.buffer_packets = 1'000;
   rc.max_th = 500;
 
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = test::allocations();
   {
     net::DropTailQueue packets{1'000'000};
     net::DropTailQueue bytes{1'000'000, net::DropTailQueue::Mode::kBytes};
     net::RedQueue red{sim, rc};
   }
-  const std::uint64_t delta =
-      g_allocs.load(std::memory_order_relaxed) - before;
+  const std::uint64_t delta = test::allocations() - before;
   EXPECT_EQ(delta, 0u);
 }
 

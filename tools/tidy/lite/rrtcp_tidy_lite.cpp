@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "net/packet.hpp"
 #include "sim/simulator.hpp"
 
 namespace {
@@ -610,9 +611,10 @@ void check_nondet_iteration(const SourceFile& f, const FlatText& ft,
 // rrtcp-smallfn-inline
 //
 // At schedule_at/schedule_in/schedule_reserved call sites taking a
-// lambda, estimate the
-// by-value capture footprint from visible declarations (char arrays and
-// std::array<char, N>); flag estimates above the scheduler's inline budget
+// lambda, estimate the by-value capture footprint from visible
+// declarations (char arrays, and variables or parameters of type Packet,
+// which no event may carry: a packet that waits on the clock belongs in a
+// net::DelayLine); flag estimates above the scheduler's inline budget
 // (sim::kEventInlineBytes). Purely size-visible cases only — the plugin
 // computes real sizeof.
 
@@ -637,6 +639,20 @@ void check_smallfn_inline(const SourceFile& f, const FlatText& ft,
         bytes = bytes * 10 + static_cast<std::size_t>(ft.text[j] - '0');
     if (bytes > 0) buffers[name] = bytes;
   }
+  // Visible Packet values and references (a by-value capture of either
+  // copies the packet); pointers stay one word.
+  for (std::size_t p = find_word(ft.text, "Packet"); p != std::string::npos;
+       p = find_word(ft.text, "Packet", p + 1)) {
+    std::size_t q = p + 6;
+    while (q < ft.text.size() &&
+           (std::isspace(static_cast<unsigned char>(ft.text[q])) ||
+            ft.text[q] == '&'))
+      ++q;
+    const std::size_t b = q;
+    while (q < ft.text.size() && ident_char(ft.text[q])) ++q;
+    if (q == b || ft.text.compare(b, q - b, "const") == 0) continue;
+    buffers[ft.text.substr(b, q - b)] = sizeof(rrtcp::net::Packet);
+  }
   if (buffers.empty()) return;
   for (const char* call : {"schedule_at", "schedule_in", "schedule_reserved"}) {
     for (std::size_t p = find_word(ft.text, call); p != std::string::npos;
@@ -645,8 +661,36 @@ void check_smallfn_inline(const SourceFile& f, const FlatText& ft,
       if (open == std::string::npos) continue;
       const std::size_t close = match_paren(ft.text, open);
       if (close == std::string::npos) continue;
-      const std::string args = ft.text.substr(open, close - open);
-      // Lambda capture list inside the argument text.
+      std::string args = ft.text.substr(open, close - open);
+      // Lambda capture list inside the argument text, or else in the
+      // closest earlier `auto name = [...]` the last argument names
+      // (`schedule_at(t, std::move(deliver))`).
+      if (args.find('[') == std::string::npos) {
+        std::size_t e = args.size();
+        while (e > 0 && !ident_char(args[e - 1])) --e;
+        std::size_t start = e;
+        while (start > 0 && ident_char(args[start - 1])) --start;
+        const std::string named = args.substr(start, e - start);
+        if (named.empty()) continue;
+        std::size_t decl = std::string::npos;  // the '[' after `named =`
+        auto skip_space = [&](std::size_t q) {
+          while (q < p && std::isspace(static_cast<unsigned char>(ft.text[q])))
+            ++q;
+          return q;
+        };
+        for (std::size_t d = find_word(ft.text, named);
+             d != std::string::npos && d < p;
+             d = find_word(ft.text, named, d + 1)) {
+          std::size_t q = skip_space(d + named.size());
+          if (q >= p || ft.text[q] != '=') continue;
+          q = skip_space(q + 1);
+          if (q < p && ft.text[q] == '[') decl = q;
+        }
+        if (decl == std::string::npos) continue;
+        const std::size_t end = ft.text.find(']', decl);
+        if (end == std::string::npos || end > p) continue;
+        args = ft.text.substr(decl, end + 1 - decl);
+      }
       const std::size_t lb = args.find('[');
       if (lb == std::string::npos) continue;
       const std::size_t rb = args.find(']', lb);
@@ -660,8 +704,17 @@ void check_smallfn_inline(const SourceFile& f, const FlatText& ft,
                    item.end());
         if (item.empty() || item[0] == '&') continue;  // by-reference
         const std::size_t eq = item.find('=');
-        if (eq != std::string::npos) item = item.substr(0, eq);
-        auto it = buffers.find(item);
+        auto it = buffers.find(item.substr(0, eq));
+        if (it == buffers.end() && eq != std::string::npos) {
+          // Init-capture: size it by the last name its initializer reads
+          // (`pkt = std::move(p)` copies p).
+          std::size_t e = item.size();
+          while (e > eq && !ident_char(item[e - 1])) --e;
+          std::size_t start = e;
+          while (start > eq + 1 && ident_char(item[start - 1])) --start;
+          it = buffers.find(item.substr(start, e - start));
+        }
+        item = item.substr(0, eq);
         if (it != buffers.end()) {
           estimate += it->second;
           captured_big = item;

@@ -2,6 +2,7 @@
 
 #include "clang/AST/ASTContext.h"
 #include "clang/ASTMatchers/ASTMatchFinder.h"
+#include "sim/small_fn.hpp"  // ::rrtcp::sim::kEventInlineBytes
 
 using namespace clang::ast_matchers;
 
@@ -10,7 +11,9 @@ namespace clang::tidy::rrtcp {
 SmallFnInlineCheck::SmallFnInlineCheck(StringRef Name,
                                        ClangTidyContext* Context)
     : ClangTidyCheck(Name, Context),
-      InlineBytes(Options.get("InlineBytes", 80U)),  // sim::kEventInlineBytes
+      InlineBytes(Options.get(
+          "InlineBytes",
+          static_cast<unsigned>(::rrtcp::sim::kEventInlineBytes))),
       InlineAlign(Options.get("InlineAlign", 16U)) {}
 
 void SmallFnInlineCheck::storeOptions(ClangTidyOptions::OptionMap& Opts) {

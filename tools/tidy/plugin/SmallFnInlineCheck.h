@@ -1,7 +1,7 @@
 // rrtcp-smallfn-inline — Simulator::schedule_at/schedule_in/
-// schedule_reserved store their callable in a SmallFn<80> inline
-// buffer; a callable that doesn't fit silently falls back to heap
-// allocation (counted by
+// schedule_reserved store their callable in a SmallFn<kEventInlineBytes>
+// inline buffer (16 bytes); a callable that doesn't fit — any capture of
+// a Packet, for one — silently falls back to heap allocation (counted by
 // callback_heap_fallbacks, caught at runtime by the alloc-regression
 // tests). This check moves that contract to compile time: every schedule
 // call site whose callable exceeds the inline budget gets a diagnostic
@@ -27,7 +27,7 @@ class SmallFnInlineCheck : public ClangTidyCheck {
   }
 
  private:
-  // Must mirror SmallFn's buffer size in src/sim/small_fn.hpp.
+  // Defaults to sim::kEventInlineBytes (src/sim/small_fn.hpp).
   const unsigned InlineBytes;
   // Must mirror SmallFn's alignment bound (alignof(std::max_align_t)).
   const unsigned InlineAlign;
