@@ -11,14 +11,21 @@
 // those ties and moves this hash, even when the bench families' totals
 // stay put. The golden_* bench families do not catch that on their own:
 // their dumbbells have too few same-instant arrivals.
+//
+// The sharded pins run the same fleet through pdes::ShardedScenario at 2
+// and 4 shards. There the cross-shard merge decides the keys of every
+// packet arriving over a cut link, so a change to the hand-off or the
+// merge that reorders same-instant arrivals moves these hashes.
 #include <cstdint>
 #include <cstdio>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "harness/scenario.hpp"
 #include "harness/sweep.hpp"
 #include "net/queue_disc.hpp"
+#include "pdes/sharded.hpp"
 #include "topo/presets.hpp"
 
 namespace rrtcp {
@@ -29,7 +36,7 @@ namespace {
 constexpr std::uint64_t kGoldenHash = 0x1ff5bbc0920b1ebdULL;
 constexpr std::uint64_t kGoldenDequeues = 15999;
 
-harness::ScenarioSpec fleet_spec(int* bottleneck_link) {
+harness::ScenarioSpec fleet_spec(int* bottleneck_link, int shards = 1) {
   constexpr int kHosts = 16;
   constexpr int kFlows = 400;
   constexpr std::uint64_t kSeed = 1;
@@ -49,6 +56,7 @@ harness::ScenarioSpec fleet_spec(int* bottleneck_link) {
   spec.graph = md.spec;
   spec.seed = kSeed;
   spec.horizon = sim::Time::seconds(1);
+  spec.shard_count = shards;
   spec.instruments.tracers = false;
   spec.instruments.audit = harness::AuditMode::kNone;
   spec.instruments.watchdog = false;
@@ -72,6 +80,13 @@ harness::ScenarioSpec fleet_spec(int* bottleneck_link) {
     spec.add_flow_set(set);
   }
   return spec;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
 }
 
 // FNV-1a over 64-bit words of (dequeue time in ps, packet uid).
@@ -100,11 +115,42 @@ TEST(GoldenTieOrder, BottleneckDequeueSequenceOfSymmetricFleet) {
   DequeueHasher hasher{sc.sim()};
   sc.graph().link(bottleneck).queue().set_observer(&hasher);
   sc.run();
-  char got[32];
-  std::snprintf(got, sizeof got, "0x%016llx",
-                static_cast<unsigned long long>(hasher.hash));
   EXPECT_EQ(hasher.count, kGoldenDequeues);
-  EXPECT_EQ(hasher.hash, kGoldenHash) << "dequeue hash " << got;
+  EXPECT_EQ(hasher.hash, kGoldenHash) << "dequeue hash " << hex(hasher.hash);
+}
+
+struct ShardedPin {
+  int shards;
+  std::uint64_t hash;
+  std::uint64_t dequeues;
+  std::uint64_t cross_shard_packets;
+};
+
+// Recorded at the commit before cut links handed their packets off at
+// transmit time and the merge ran in link order.
+constexpr ShardedPin kShardedPins[] = {
+    {2, 0x77c5e9393c8b319dULL, 16052, 65112},
+    {4, 0x332520231aa79c8dULL, 16047, 82069},
+};
+
+// The bottleneck's dequeues are hashed on the engine that owns its queue,
+// the shard of the link's tail node.
+TEST(GoldenTieOrder, ShardedBottleneckDequeueSequenceOfSymmetricFleet) {
+  for (const ShardedPin& pin : kShardedPins) {
+    SCOPED_TRACE(std::to_string(pin.shards) + " shards");
+    int bottleneck = -1;
+    pdes::ShardedScenario sc{fleet_spec(&bottleneck, pin.shards)};
+    ASSERT_EQ(sc.n_shards(), pin.shards);
+    const int tail =
+        sc.spec().graph.links[static_cast<std::size_t>(bottleneck)].from;
+    const int shard = sc.partition().node_shard[static_cast<std::size_t>(tail)];
+    DequeueHasher hasher{sc.scenario().engine(shard)};
+    sc.link(bottleneck).queue().set_observer(&hasher);
+    sc.run();
+    EXPECT_EQ(hasher.count, pin.dequeues);
+    EXPECT_EQ(hasher.hash, pin.hash) << "dequeue hash " << hex(hasher.hash);
+    EXPECT_EQ(sc.cross_shard_packets(), pin.cross_shard_packets);
+  }
 }
 
 }  // namespace
