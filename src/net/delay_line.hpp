@@ -1,10 +1,11 @@
 // Packets in flight, held in one ordered line instead of one event each.
 //
-// A packet that waits on the clock — in a link's propagation pipe, in a
-// cut link's serialization tail, on a shard's receive side, or in a chaos
-// delay spike — used to be its own scheduler event, a closure capturing
-// the whole Packet. A DelayLine holds those packets instead, sorted by the
-// (at, seq) key each one's event would have had: push() takes the seq with
+// A packet that waits on the clock — in a link's propagation pipe, on a
+// shard's receive side, or in a chaos delay spike — used to be its own
+// scheduler event, a closure capturing the whole Packet. (A cut link holds
+// none: it hands each packet to its pdes::Channel at transmit time.) A
+// DelayLine holds those packets instead, sorted by the (at, seq) key each
+// one's event would have had: push() takes the seq with
 // Simulator::reserve_seq() at the moment the event used to be scheduled.
 // Only the front packet has an event, scheduled under its reserved key
 // (schedule_reserved) and capturing `this` alone. When it fires, the line

@@ -11,7 +11,7 @@ Link::Link(sim::Simulator& sim, LinkConfig cfg,
     : sim_{sim},
       cfg_{std::move(cfg)},
       queue_{std::move(queue)},
-      pipe_{sim, [this](sim::Time at, Packet& p) { deliver(at, p); }} {
+      pipe_{sim, [this](sim::Time, Packet& p) { deliver(p); }} {
   RRTCP_ASSERT(cfg_.bandwidth_bps > 0);
   RRTCP_ASSERT(cfg_.prop_delay >= sim::Time::zero());
   RRTCP_ASSERT(queue_ != nullptr);
@@ -47,13 +47,11 @@ void Link::transmit_next() {
   // order is part of the pinned golden traces.
   const sim::Time done = sim_.now() + tx;
   if (remote_ != nullptr) {
-    // Cut link: the destination node lives in another shard. Hand off at
-    // serialization end — the propagation pipe is the lookahead window the
-    // conservative scheduler relies on, so the receiving shard sees the
-    // packet a full prop_delay before its arrival instant.
+    // Cut link: the destination node lives in another shard. Hand off now;
+    // the merge passes the packet on once this shard has run past `done`.
     RRTCP_ASSERT_MSG(reorder_ == nullptr,
                      "a cut link cannot carry reorder jitter");
-    pipe_.push(done, std::move(*next));
+    remote_->push(done + cfg_.prop_delay, done, std::move(*next));
   } else {
     const sim::Time jitter =
         reorder_ ? reorder_->delay_for_next_packet() : sim::Time::zero();
@@ -66,14 +64,9 @@ void Link::transmit_next() {
   if (!queue_->empty()) schedule_release();
 }
 
-void Link::deliver(sim::Time at, Packet& p) {
+void Link::deliver(Packet& p) {
   ++delivered_;
   bytes_delivered_ += p.size_bytes;
-  if (remote_ != nullptr) {
-    // `at` is the serialization end; the packet arrives one pipe later.
-    remote_->push(at + cfg_.prop_delay, std::move(p));
-    return;
-  }
   RRTCP_ASSERT_MSG(dst_ != nullptr, "link has no destination node");
   dst_->receive(std::move(p));
 }

@@ -19,8 +19,8 @@
 // Packets in the propagation pipe are not events either: they wait in the
 // link's DelayLine (net/delay_line.hpp), each keyed at transmit time with
 // the (arrival, seq) its delivery event would have had, and only the
-// front one has an event. A cut link's line holds packets until their
-// serialization end instead, the instant they are handed off.
+// front one has an event. A cut link has no pipe of its own: it hands
+// each packet to its RemoteSink at transmit time.
 #pragma once
 
 #include <cstdint>
@@ -39,16 +39,17 @@
 namespace rrtcp::net {
 
 // Cross-engine delivery target for a link whose destination node lives in
-// another simulation shard. When installed, the link hands the packet off
-// at serialization end (the earliest instant the sending engine knows the
-// full arrival schedule), stamped with the absolute arrival time
-// (serialization end + propagation), instead of calling
-// dst()->receive() locally. push() runs on the sending shard's thread; the
-// receiving shard drains it only at synchronization barriers.
+// another simulation shard. When installed, the link hands each packet
+// off when it starts to transmit, stamped with its serialization end
+// t_done and its absolute arrival time t_done + prop_delay, instead of
+// holding it in its pipe for dst()->receive(). push() runs on the sending
+// shard's thread; the receiving shard drains it only at synchronization
+// barriers, and only the packets whose t_done the sending shard has
+// already run past (pdes/sharded.hpp).
 class RemoteSink {
  public:
   virtual ~RemoteSink() = default;
-  virtual void push(sim::Time arrival, Packet p) = 0;
+  virtual void push(sim::Time arrival, sim::Time t_done, Packet p) = 0;
 };
 
 struct LinkConfig {
@@ -100,8 +101,13 @@ class Link final : public PacketHandler {
     return sim::Time::transmission(bytes, cfg_.bandwidth_bps);
   }
 
-  // Statistics.
+  // Statistics. A cut link's packet counts as delivered when the sharded
+  // merge passes it on (count_handed_off), not when it is pushed.
   std::uint64_t packets_delivered() const { return delivered_; }
+  void count_handed_off(const Packet& p) {
+    ++delivered_;
+    bytes_delivered_ += p.size_bytes;
+  }
   std::uint64_t bytes_delivered() const { return bytes_delivered_; }
   // Data packets the loss model dropped (ACKs and CBR are not counted):
   // the data copies the pipe-conservation audit must see leave the network.
@@ -117,8 +123,8 @@ class Link final : public PacketHandler {
   }
   RRTCP_HOT void transmit_next();
   RRTCP_HOT void schedule_release();
-  // The pipe's sink: the packet leaves the link at `at`.
-  RRTCP_HOT void deliver(sim::Time at, Packet& p);
+  // The pipe's sink: the packet reaches dst().
+  RRTCP_HOT void deliver(Packet& p);
 
   sim::Simulator& sim_;
   LinkConfig cfg_;
@@ -137,8 +143,7 @@ class Link final : public PacketHandler {
   std::uint64_t bytes_delivered_ = 0;
   std::uint64_t loss_data_drops_ = 0;
   sim::Time busy_time_ = sim::Time::zero();
-  // Packets past the transmitter: in propagation, or (cut link) waiting
-  // for their serialization end.
+  // Packets in propagation (never used by a cut link).
   DelayLine pipe_;
 };
 

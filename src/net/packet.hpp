@@ -92,8 +92,8 @@ struct TcpHeader {
 // `size_bytes` sit in its tail padding instead of after it; assigning to
 // `tcp` leaves them intact (tests/net/test_packet.cpp). Do not add
 // alignas(64): every struct that carries a packet next to a key (a PDES
-// channel message, a merge entry) would pad to two cache lines; the one
-// store that wants aligned packets, net::DelayLine, aligns its slots.
+// channel message) would pad to two cache lines; the one store that wants
+// aligned packets, net::DelayLine, aligns its slots.
 struct Packet {
   std::uint64_t uid = 0;  // unique within a scenario: see packet_uid()
   FlowId flow = 0;

@@ -1,6 +1,6 @@
 #include "pdes/sharded.hpp"
 
-#include <algorithm>
+#include <cstddef>
 #include <string>
 #include <utility>
 
@@ -28,6 +28,30 @@ const char* single_engine_need(const harness::ScenarioSpec& spec) {
 
 }  // namespace
 
+Channel::Channel(net::Link& link, net::Node& dst, sim::Simulator& dst_engine)
+    : link_{link},
+      receive_{dst_engine,
+               [node = &dst](sim::Time, net::Packet& p) {
+                 node->receive(std::move(p));
+               }} {}
+
+std::size_t Channel::hand_over(sim::Time boundary, bool inclusive) {
+  const std::int64_t b = boundary.ps();
+  std::size_t n = 0;
+  std::size_t due = 0;
+  for (; n < buf_.size(); ++n) {
+    const Msg& m = buf_[n];
+    if (inclusive ? m.t_done_ps > b : m.t_done_ps >= b) break;
+    if (m.arrival_ps <= b) ++due;
+    link_.count_handed_off(m.pkt);
+    receive_.push(sim::Time::picoseconds(m.arrival_ps), m.pkt);
+  }
+  // At most the packet still serializing at the boundary stays behind.
+  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(n));
+  handed_ += n;
+  return due;
+}
+
 ShardedScenario::ShardedScenario(harness::ScenarioSpec spec)
     : part_{partition_for(spec)} {
   const int n = part_.n_shards;
@@ -52,16 +76,11 @@ ShardedScenario::ShardedScenario(harness::ScenarioSpec spec)
   topo::TopologyGraph& g = scenario_->graph();
   for (const int li : part_.cut_links) {
     const int head = g.spec().links[static_cast<std::size_t>(li)].to;
-    channels_.push_back(std::make_unique<Channel>(li));
-    g.link(li).set_remote_sink(channels_.back().get());
-    net::Node* dst = &g.node(head);
     const int dst_shard = part_.node_shard[static_cast<std::size_t>(head)];
-    channel_dst_shard_.push_back(dst_shard);
-    receive_.push_back(std::make_unique<net::DelayLine>(
-        scenario_->engine(dst_shard),
-        [dst](sim::Time, net::Packet& p) { dst->receive(std::move(p)); }));
+    channels_.push_back(std::make_unique<Channel>(
+        g.link(li), g.node(head), scenario_->engine(dst_shard)));
+    g.link(li).set_remote_sink(channels_.back().get());
   }
-  merge_scratch_.resize(static_cast<std::size_t>(n));
   start_workers();
 }
 
@@ -148,44 +167,10 @@ void ShardedScenario::parallel_window(sim::Time deadline, bool inclusive) {
   ++rounds_;
 }
 
-std::size_t ShardedScenario::merge_channels(sim::Time count_upto) {
-  for (auto& scratch : merge_scratch_) scratch.clear();
-  for (std::size_t c = 0; c < channels_.size(); ++c) {
-    Channel& ch = *channels_[c];
-    std::vector<Channel::Msg>& inbox = ch.inbox();
-    if (inbox.empty()) continue;
-    auto& scratch =
-        merge_scratch_[static_cast<std::size_t>(channel_dst_shard_[c])];
-    for (Channel::Msg& m : inbox)
-      scratch.push_back(Pending{m.arrival_ps, ch.link_index(), m.seq,
-                                static_cast<std::uint32_t>(c),
-                                std::move(m.pkt)});
-    inbox.clear();
-  }
-
+std::size_t ShardedScenario::merge_channels(sim::Time boundary,
+                                            bool inclusive) {
   std::size_t due = 0;
-  for (std::size_t s = 0; s < merge_scratch_.size(); ++s) {
-    auto& scratch = merge_scratch_[s];
-    if (scratch.empty()) continue;
-    // Canonical cross-shard delivery order: arrival instant, then cut-link
-    // index, then each link's FIFO sequence. Identical for every shard
-    // count and thread schedule — this sort is the determinism contract.
-    std::sort(scratch.begin(), scratch.end(),
-              [](const Pending& a, const Pending& b) {
-                if (a.arrival_ps != b.arrival_ps)
-                  return a.arrival_ps < b.arrival_ps;
-                if (a.link != b.link) return a.link < b.link;
-                return a.seq < b.seq;
-              });
-    // Each push reserves the arrival's key on the destination engine, so
-    // keys follow the canonical order too.
-    for (Pending& p : scratch) {
-      const sim::Time at = sim::Time::picoseconds(p.arrival_ps);
-      if (at <= count_upto) ++due;
-      receive_[p.channel]->push(at, std::move(p.pkt));
-    }
-    scratch.clear();
-  }
+  for (const auto& ch : channels_) due += ch->hand_over(boundary, inclusive);
   return due;
 }
 
@@ -199,12 +184,12 @@ std::uint64_t ShardedScenario::run() {
   RRTCP_ASSERT(la > sim::Time::zero());
 
   // Conservative rounds over half-open windows [t, t+LA): no shard may
-  // execute the boundary instant until the inboxes feeding it have merged.
+  // execute the boundary instant until the channels feeding it have merged.
   sim::Time t = sim::Time::zero();
   while (t + la < horizon) {
     t = t + la;
     parallel_window(t, /*inclusive=*/false);
-    merge_channels(horizon);
+    merge_channels(t, /*inclusive=*/false);
   }
   // Terminal windows, deadline-inclusive like Scenario::run ==
   // run_until(horizon). A delivery can land exactly ON the horizon (send
@@ -213,14 +198,21 @@ std::uint64_t ShardedScenario::run() {
   // at most two passes; the count guards the general case.
   for (;;) {
     parallel_window(horizon, /*inclusive=*/true);
-    if (merge_channels(horizon) == 0) break;
+    if (merge_channels(horizon, /*inclusive=*/true) == 0) break;
   }
   return events_executed();
 }
 
 std::uint64_t ShardedScenario::cross_shard_packets() const {
   std::uint64_t n = 0;
-  for (const auto& ch : channels_) n += ch->total_pushed();
+  for (const auto& ch : channels_) n += ch->handed_over();
+  return n;
+}
+
+std::uint64_t ShardedScenario::callback_heap_fallbacks() {
+  std::uint64_t n = 0;
+  for (int e = 0; e < scenario_->n_engines(); ++e)
+    n += scenario_->engine(e).callback_heap_fallbacks();
   return n;
 }
 

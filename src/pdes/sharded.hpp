@@ -9,20 +9,31 @@
 //   lookahead LA = min propagation delay over all cut links (> 0).
 //   Round k covers the half-open window [k*LA, (k+1)*LA): every shard
 //   calls Simulator::run_before((k+1)*LA), so no event at or past the
-//   boundary fires early. A packet crossing a cut link is handed off at
-//   its serialization end t_done (net::RemoteSink), stamped with its
-//   arrival time t_done + prop_delay >= t_done + LA >= (k+1)*LA —
-//   i.e. every cross-shard packet produced in round k arrives at or after
-//   the next boundary, so merging inboxes AT the boundary can never
-//   deliver into a shard's past. That is the whole causality proof: the
-//   propagation pipe of the cut links funds the lookahead.
+//   boundary fires early. A cut link hands each packet to its Channel
+//   (net::RemoteSink) when it starts to transmit, stamped with its
+//   serialization end t_done and its arrival t_done + prop_delay. The
+//   merge after round k passes on exactly the packets with
+//   t_done < (k+1)*LA — the ones whose serialization ended inside the
+//   windows run so far — and leaves the rest queued for the next merge.
+//   A packet passed on after round k has t_done >= k*LA (earlier ones went
+//   with an earlier merge), so it arrives at t_done + prop_delay >=
+//   k*LA + LA = (k+1)*LA: merging AT the boundary can never deliver into
+//   a shard's past. That is the whole causality proof: the propagation
+//   pipe of the cut links funds the lookahead.
 //
-// Between rounds the coordinator thread (the caller of run()) drains every
-// channel and pushes the arrivals into each cut link's receive line on the
+// The merge (between rounds, on the coordinator thread, the caller of
+// run()) walks the channels in ascending cut-link index and pushes each
+// one's packets, in FIFO order, into that link's receive line on the
 // destination shard (a net::DelayLine: one event per busy line, not one
-// per packet) in one canonical order — (arrival time, cut-link index,
-// per-channel sequence) — so the merge, and the event keys it reserves,
-// are deterministic for ANY shard count and thread timing.
+// per packet). Every push reserves one key on the destination engine, so
+// a merge reserves one contiguous block of keys at each barrier. Against
+// any other key the block's position decides, whatever the order inside
+// it; two keys of the block at different instants are decided by time;
+// and at one instant, link order then FIFO order is the order a sort by
+// (arrival time, cut-link index, per-link sequence) gives. So the merge
+// fires arrivals in that canonical order, deterministic for ANY shard
+// count and thread timing, without gathering or sorting.
+//
 // Determinism contract (DESIGN.md §17): a fixed spec at a fixed shard
 // count is bit-repeatable regardless of thread scheduling, and across
 // shard counts 1, 2, 4, 8, ... the same ScenarioSpec produces identical
@@ -53,6 +64,7 @@
 #pragma once
 
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -70,36 +82,44 @@
 
 namespace rrtcp::pdes {
 
-// One cut link's cross-shard mailbox. push() runs on the source shard's
-// thread during a round; the buffer is drained by the coordinator between
-// rounds (phase separation — no lock). The per-channel sequence number
-// makes the canonical merge order total: (arrival, link index, seq), with
-// seq preserving each link's FIFO delivery order.
+// One cut link's cross-shard mailbox and its receive line. push() runs on
+// the source shard's thread during a round, at the instant the link starts
+// to transmit; hand_over() runs on the coordinator between rounds (phase
+// separation — no lock). Packets leave the buffer in FIFO order, which on
+// one link is also t_done order and arrival order.
 class Channel final : public net::RemoteSink {
  public:
+  // `link` is the cut link; `dst` its head node, run by `dst_engine`.
+  Channel(net::Link& link, net::Node& dst, sim::Simulator& dst_engine);
+
+  RRTCP_HOT void push(sim::Time arrival, sim::Time t_done,
+                      net::Packet p) override {
+    // hand_over() erases what it passes on but keeps the capacity, so
+    // growth amortizes away after the first few rounds.
+    // NOLINTNEXTLINE(rrtcp-hot-path-alloc)
+    buf_.push_back(Msg{arrival.ps(), t_done.ps(), std::move(p)});
+  }
+
+  // Passes every packet whose t_done is before `boundary` (at or before
+  // it when `inclusive`) to the receive line, in FIFO order, and counts it
+  // delivered on the link; later packets wait for the next call. Returns
+  // how many of those passed on arrive at or before `boundary`.
+  std::size_t hand_over(sim::Time boundary, bool inclusive);
+
+  // Packets passed on so far.
+  std::uint64_t handed_over() const { return handed_; }
+
+ private:
   struct Msg {
     std::int64_t arrival_ps;
-    std::uint64_t seq;
+    std::int64_t t_done_ps;
     net::Packet pkt;
   };
 
-  explicit Channel(int link_index) : link_{link_index} {}
-
-  RRTCP_HOT void push(sim::Time arrival, net::Packet p) override {
-    // The coordinator's drain clear()s the buffer but keeps its capacity,
-    // so growth amortizes away after the first few rounds.
-    // NOLINTNEXTLINE(rrtcp-hot-path-alloc)
-    buf_.push_back(Msg{arrival.ps(), seq_++, std::move(p)});
-  }
-
-  int link_index() const { return link_; }
-  std::vector<Msg>& inbox() { return buf_; }
-  std::uint64_t total_pushed() const { return seq_; }
-
- private:
-  int link_;
-  std::uint64_t seq_ = 0;
+  net::Link& link_;
+  net::DelayLine receive_;
   std::vector<Msg> buf_;
+  std::uint64_t handed_ = 0;
 };
 
 // Sharded runner for a harness::Scenario. Graph-mode specs with
@@ -133,6 +153,8 @@ class ShardedScenario {
   std::uint64_t rounds() const { return rounds_; }
   std::uint64_t cross_shard_packets() const;
   std::uint64_t events_executed() const;
+  // Callbacks that did not fit an event inline, summed over the engines.
+  std::uint64_t callback_heap_fallbacks();
 
   // The built world: flows, sources, CBR, instruments and the graph, in
   // the GraphSpec's global numbering whichever shard owns each object.
@@ -144,16 +166,6 @@ class ShardedScenario {
   const harness::ScenarioSpec& spec() const { return scenario_->spec(); }
 
  private:
-  // One cross-shard packet in flight during a merge, with its canonical
-  // sort key.
-  struct Pending {
-    std::int64_t arrival_ps;
-    int link;
-    std::uint64_t seq;
-    std::uint32_t channel;  // index into channels_ and receive_
-    net::Packet pkt;
-  };
-
   void start_workers();
   void stop_workers();
   void worker_loop(int shard);
@@ -161,23 +173,18 @@ class ShardedScenario {
   // barrier: run_before(deadline) when !inclusive, run_until(deadline)
   // (events at the deadline fire) for the terminal window(s).
   void parallel_window(sim::Time deadline, bool inclusive);
-  // Drain every channel into the destination shards in canonical order.
-  // Returns how many merged arrivals are at or before `count_upto` — the
-  // terminal loop repeats inclusive windows until this reaches zero, so
-  // deliveries landing exactly on the horizon fire just as they do in a
-  // single-engine run_until(horizon).
-  std::size_t merge_channels(sim::Time count_upto);
+  // Hands over every channel in ascending cut-link index (see
+  // Channel::hand_over). Returns how many merged arrivals are at or before
+  // `boundary` — the terminal loop repeats inclusive windows until this
+  // reaches zero, so deliveries landing exactly on the horizon fire just as
+  // they do in a single-engine run_until(horizon).
+  std::size_t merge_channels(sim::Time boundary, bool inclusive);
 
   topo::Partition part_;
   // Declared before the scenario so its links, which point at them, die
-  // first.
-  std::vector<std::unique_ptr<Channel>> channels_;  // one per cut link
-  std::vector<int> channel_dst_shard_;
-  std::vector<std::vector<Pending>> merge_scratch_;  // per dest shard
+  // first. One per cut link, in ascending link index.
+  std::vector<std::unique_ptr<Channel>> channels_;
   std::unique_ptr<harness::Scenario> scenario_;
-  // One per cut link, on its head node's engine: merged arrivals wait here
-  // for their instant and are then received by the head node.
-  std::vector<std::unique_ptr<net::DelayLine>> receive_;
   std::vector<std::uint64_t> executed_;  // per shard
 
   // Round barrier. Workers wait for round_gen_ to advance, run their

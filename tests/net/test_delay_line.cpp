@@ -2,8 +2,9 @@
 // replace. The differential test pins the line to that reference shape
 // (one schedule_at per packet) on a randomized multi-line workload; the
 // rest cover overtaking, same-instant ties with releases and timers, a
-// cut link's hand-off around the horizon, and allocation-free steady
-// state (this binary counts operator new, see alloc_counter.hpp).
+// cut link's hand-off at transmit and its merge around window boundaries,
+// and allocation-free steady state (this binary counts operator new, see
+// alloc_counter.hpp).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,6 +21,7 @@
 #include "net/link.hpp"
 #include "net/node.hpp"
 #include "net/reorder.hpp"
+#include "pdes/sharded.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
@@ -206,17 +208,18 @@ TEST(DelayLine, LinkDeliveryReleaseAndTimersTieInKeyOrder) {
   EXPECT_EQ(sim.events_executed(), 7u);
 }
 
-// Records cut-link hand-offs the way a pdes Channel would.
+// Records cut-link hand-offs: when each came, and its two stamps.
 class RecordingSink final : public RemoteSink {
  public:
   struct HandOff {
     sim::Time handed;
     sim::Time arrival;
+    sim::Time t_done;
     std::uint64_t seq;
   };
   explicit RecordingSink(const sim::Simulator& sim) : sim_{sim} {}
-  void push(sim::Time arrival, Packet p) override {
-    got.push_back({sim_.now(), arrival, p.tcp.seq});
+  void push(sim::Time arrival, sim::Time t_done, Packet p) override {
+    got.push_back({sim_.now(), arrival, t_done, p.tcp.seq});
   }
   std::vector<HandOff> got;
 
@@ -224,11 +227,10 @@ class RecordingSink final : public RemoteSink {
   const sim::Simulator& sim_;
 };
 
-// A cut link's line holds each packet until its serialization end, then
-// hands it off stamped one propagation delay later. Packets still
-// serializing at the horizon stay in the line: run_before leaves the
-// hand-off due exactly at the horizon pending, run_until fires it.
-TEST(DelayLine, CutLinkHandsOffAtSerializationEndAroundTheHorizon) {
+// A cut link hands each packet off the instant it starts to transmit,
+// stamped with its arrival (t_done + prop) and its serialization end
+// t_done. No event carries it: the only events are the releases.
+TEST(DelayLine, CutLinkHandsOffAtTransmit) {
   sim::Simulator sim;
   RecordingSink remote{sim};
   const sim::Time prop = sim::Time::milliseconds(30);
@@ -237,28 +239,73 @@ TEST(DelayLine, CutLinkHandsOffAtSerializationEndAroundTheHorizon) {
   for (int i = 0; i < 4; ++i) link.send(make_data(1, i, 1000));
 
   const sim::Time tx = sim::Time::milliseconds(10);
-  sim.run_before(2 * tx);
   ASSERT_EQ(remote.got.size(), 1u);
-  EXPECT_EQ(remote.got[0].handed, tx);
-  EXPECT_EQ(remote.got[0].arrival, tx + prop);
-  EXPECT_EQ(link.packets_delivered(), 1u);
-  EXPECT_EQ(sim.pending_events(), 2u);  // the second hand-off, a release
-
-  sim.run_until(2 * tx);
-  ASSERT_EQ(remote.got.size(), 2u);
-  EXPECT_EQ(remote.got[1].handed, 2 * tx);
-  EXPECT_EQ(remote.got[1].arrival, 2 * tx + prop);
-  EXPECT_EQ(link.packets_delivered(), 2u);
-
+  EXPECT_EQ(sim.pending_events(), 1u);  // the release
   sim.run();
   ASSERT_EQ(remote.got.size(), 4u);
   for (std::size_t i = 0; i < remote.got.size(); ++i) {
-    const auto k = static_cast<std::int64_t>(i + 1);
+    const auto k = static_cast<std::int64_t>(i);
     EXPECT_EQ(remote.got[i].seq, i);
     EXPECT_EQ(remote.got[i].handed, tx * k);
-    EXPECT_EQ(remote.got[i].arrival, tx * k + prop);
+    EXPECT_EQ(remote.got[i].t_done, tx * (k + 1));
+    EXPECT_EQ(remote.got[i].arrival, tx * (k + 1) + prop);
   }
+  EXPECT_EQ(sim.events_executed(), 3u);
+  // Delivery is counted when the merge passes a packet on.
+  EXPECT_EQ(link.packets_delivered(), 0u);
+}
+
+// The merge passes on a packet once its serialization end is inside the
+// windows run so far: a t_done equal to a run_before boundary waits for
+// the next merge, and a t_done equal to the horizon goes in the inclusive
+// terminal window. hand_over counts the passed-on packets due by the
+// boundary, and passed-on packets reach the head node at their arrival.
+TEST(DelayLine, CutLinkMergeSelectsBySerializationEnd) {
+  sim::Simulator src;
+  sim::Simulator dst_engine;
+  const sim::Time tx = sim::Time::milliseconds(10);
+  const sim::Time prop = 2 * tx;
+  Link link{src, {800'000, prop, "cut"}, std::make_unique<DropTailQueue>(100)};
+  Node dst{2};
+  struct Arrivals final : Agent {
+    const sim::Simulator* clock = nullptr;
+    std::vector<std::pair<std::uint64_t, sim::Time>> got;
+    void receive(Packet p) override {
+      got.emplace_back(p.tcp.seq, clock->now());
+    }
+  };
+  Arrivals agent;
+  agent.clock = &dst_engine;
+  dst.attach_agent(1, &agent);
+  pdes::Channel channel{link, dst, dst_engine};
+  link.set_remote_sink(&channel);
+  for (int i = 0; i < 4; ++i) link.send(make_data(1, i, 1000));
+
+  // Window [0, 2tx): packets 0 and 1 have started, t_done 1tx and 2tx.
+  src.run_before(2 * tx);
+  // Packet 0 passes on and arrives at 3tx, after the boundary.
+  EXPECT_EQ(channel.hand_over(2 * tx, /*inclusive=*/false), 0u);
+  EXPECT_EQ(channel.handed_over(), 1u);
+  EXPECT_EQ(link.packets_delivered(), 1u);
+  EXPECT_EQ(dst_engine.pending_events(), 1u);  // the receive line's front
+
+  // Terminal window up to the horizon 4tx: packet 3 ends exactly on it,
+  // and packet 1 (of 1-3) arrives exactly on it.
+  const sim::Time horizon = 4 * tx;
+  src.run_until(horizon);
+  EXPECT_EQ(channel.hand_over(horizon, /*inclusive=*/true), 1u);
+  EXPECT_EQ(channel.handed_over(), 4u);
   EXPECT_EQ(link.packets_delivered(), 4u);
+  EXPECT_EQ(link.bytes_delivered(), 4000u);
+
+  dst_engine.run();
+  ASSERT_EQ(agent.got.size(), 4u);
+  for (std::size_t i = 0; i < agent.got.size(); ++i) {
+    EXPECT_EQ(agent.got[i].first, i);
+    EXPECT_EQ(agent.got[i].second,
+              tx * static_cast<std::int64_t>(i + 1) + prop);
+  }
+  EXPECT_EQ(dst_engine.events_executed(), 4u);
 }
 
 TEST(DelayLineDeathTest, CutLinkRejectsReorderJitter) {

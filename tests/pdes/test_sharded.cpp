@@ -6,14 +6,23 @@
 // sharding is invisible in every flow's trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "app/flow_factory.hpp"
 #include "fuzz/digest.hpp"
 #include "harness/scenario.hpp"
+#include "net/delay_line.hpp"
+#include "net/drop_tail.hpp"
+#include "net/link.hpp"
+#include "net/node.hpp"
 #include "net/red.hpp"
 #include "pdes/sharded.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 #include "testutil.hpp"
 #include "topo/presets.hpp"
@@ -326,6 +335,179 @@ TEST(ShardedScenario, BuildGatedAuditIsOffUnderSharding) {
   auto sc = ShardedScenario::try_build(std::move(spec));
   ASSERT_NE(sc, nullptr);
   EXPECT_EQ(sc->spec().instruments.audit, harness::AuditMode::kNone);
+}
+// Every event of a sharded fleet fits its slot inline: the sum runs over
+// all engines, so a callable that spills on any shard shows up in it.
+TEST(ShardedScenario, ShardedFleetSchedulesNoHeapFallbacks) {
+  for (const int shards : {2, 4}) {
+    ShardedScenario sc{sharded_md_spec(shards, /*n_flows=*/16)};
+    ASSERT_EQ(sc.n_shards(), shards);
+    sc.run();
+    EXPECT_GT(sc.cross_shard_packets(), 0u);
+    EXPECT_EQ(sc.callback_heap_fallbacks(), 0u) << shards << " shards";
+
+    // A spill on the last engine counts.
+    const char big[64] = {};
+    sc.scenario().engine(shards - 1).schedule_in(
+        Time::milliseconds(1), [big] { (void)big[0]; });
+    EXPECT_EQ(sc.callback_heap_fallbacks(), 1u) << shards << " shards";
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The link-order merge against the canonical sort
+// ---------------------------------------------------------------------------
+
+// K cut links into one destination engine, driven by a seeded script.
+// Serialization ends fall on a coarse grid and every link's delay is a
+// whole number of grid steps, so packets from different links often
+// arrive at one instant. Destination timers land on the same grid: some
+// are keyed before a merge, some right after it, and some by the arrivals
+// themselves. With `link_order` the merge is Channel::hand_over in
+// ascending link index; without it, the reference gathers the same
+// packets, sorts them by (arrival, link, per-link seq) and pushes them in
+// that order. Returns what fired on the destination engine, in order.
+struct MergeWorld {
+  sim::Simulator engine;
+  std::vector<std::string> trace;
+  int cross_link_ties = 0;
+  Time last_arrival = Time::zero();
+  int last_link = -1;
+
+  void note(const std::string& what) {
+    trace.push_back(what + " @" + std::to_string(engine.now().ps()));
+  }
+  void timer(Time at, int id) {
+    engine.schedule_at(at, [this, id] { note("timer" + std::to_string(id)); });
+  }
+};
+
+struct MergeArrivals final : net::Agent {
+  MergeWorld* w = nullptr;
+  int link = 0;
+  void receive(net::Packet p) override {
+    const Time now = w->engine.now();
+    if (now == w->last_arrival && link != w->last_link) ++w->cross_link_ties;
+    w->last_arrival = now;
+    w->last_link = link;
+    w->note("link" + std::to_string(link) + "#" + std::to_string(p.tcp.seq));
+    // Some arrivals arm a timer, at their own instant or a step later.
+    if (p.tcp.seq % 4 == 0) {
+      const auto steps = static_cast<std::int64_t>(p.tcp.seq % 3);
+      w->timer(now + Time::microseconds(100) * steps,
+               1000 * (link + 1) + static_cast<int>(p.tcp.seq));
+    }
+  }
+};
+
+std::vector<std::string> merge_trace(std::uint64_t seed, bool link_order,
+                                     int* cross_link_ties) {
+  constexpr int kLinks = 5;
+  constexpr int kRounds = 12;
+  const Time grid = Time::microseconds(100);
+  const Time la = grid * 10;
+  sim::Rng rng{seed, "merge-order"};
+  auto draw = [&rng](std::uint64_t lo, std::uint64_t hi) {
+    return static_cast<std::int64_t>(rng.uniform_int(lo, hi));
+  };
+
+  MergeWorld w;
+  sim::Simulator src;  // the cut links only count hand-offs here
+  net::Node dst{2};
+  std::vector<std::unique_ptr<net::Link>> links;
+  std::vector<std::unique_ptr<Channel>> channels;
+  std::vector<std::unique_ptr<net::DelayLine>> lines;  // the reference's
+  std::vector<MergeArrivals> agents(kLinks);
+  std::vector<Time> prop;
+  for (int k = 0; k < kLinks; ++k) {
+    agents[static_cast<std::size_t>(k)].w = &w;
+    agents[static_cast<std::size_t>(k)].link = k;
+    dst.attach_agent(static_cast<net::FlowId>(k + 1),
+                     &agents[static_cast<std::size_t>(k)]);
+    prop.push_back(la + grid * draw(0, 3));
+    links.push_back(std::make_unique<net::Link>(
+        src, net::LinkConfig{10'000'000, prop.back(), "cut"},
+        std::make_unique<net::DropTailQueue>(1)));
+    channels.push_back(std::make_unique<Channel>(*links.back(), dst, w.engine));
+    lines.push_back(std::make_unique<net::DelayLine>(
+        w.engine, [&dst](Time, net::Packet& p) { dst.receive(p); }));
+  }
+
+  struct Pending {
+    Time arrival;
+    Time t_done;
+    int link;
+    std::uint64_t seq;
+    net::Packet pkt;
+  };
+  std::vector<Pending> pending;  // the reference's channel buffers
+  std::vector<Time> next_done;
+  std::vector<std::uint64_t> seq(kLinks, 0);
+  for (int k = 0; k < kLinks; ++k) next_done.push_back(grid * draw(1, 3));
+
+  int timer_id = 0;
+  for (int r = 0; r < kRounds; ++r) {
+    const Time boundary = la * (r + 1);
+    const bool last = r + 1 == kRounds;
+    for (std::int64_t i = draw(0, 4); i > 0; --i)
+      w.timer(w.engine.now() + grid * draw(0, 29), timer_id++);
+    // Each link starts every packet ending by one step past the boundary,
+    // so some end exactly on it and some just after it.
+    for (int k = 0; k < kLinks; ++k) {
+      const auto ku = static_cast<std::size_t>(k);
+      while (next_done[ku] <= boundary + grid) {
+        const Time t_done = next_done[ku];
+        const Time arrival = t_done + prop[ku];
+        net::Packet p =
+            test::make_data(static_cast<net::FlowId>(k + 1), seq[ku], 1000);
+        if (link_order)
+          channels[ku]->push(arrival, t_done, p);
+        else
+          pending.push_back({arrival, t_done, k, seq[ku], p});
+        ++seq[ku];
+        next_done[ku] += grid * draw(1, 3);
+      }
+    }
+    if (last)
+      w.engine.run_until(boundary);
+    else
+      w.engine.run_before(boundary);
+
+    if (link_order) {
+      for (const auto& ch : channels) ch->hand_over(boundary, last);
+    } else {
+      std::vector<Pending> due;
+      std::vector<Pending> keep;
+      for (const Pending& m : pending) {
+        const bool ended = last ? m.t_done <= boundary : m.t_done < boundary;
+        (ended ? due : keep).push_back(m);
+      }
+      std::sort(due.begin(), due.end(), [](const Pending& a, const Pending& b) {
+        return std::tie(a.arrival, a.link, a.seq) <
+               std::tie(b.arrival, b.link, b.seq);
+      });
+      for (const Pending& m : due)
+        lines[static_cast<std::size_t>(m.link)]->push(m.arrival, m.pkt);
+      pending = std::move(keep);
+    }
+    for (std::int64_t i = draw(0, 4); i > 0; --i)
+      w.timer(boundary + grid * draw(0, 19), timer_id++);
+  }
+  w.engine.run();
+  *cross_link_ties = w.cross_link_ties;
+  return w.trace;
+}
+
+TEST(ChannelMerge, LinkOrderFiresLikeTheCanonicalSort) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    int ties = 0;
+    int ref_ties = 0;
+    const std::vector<std::string> merged = merge_trace(seed, true, &ties);
+    const std::vector<std::string> sorted = merge_trace(seed, false, &ref_ties);
+    EXPECT_GT(ties, 10) << "seed " << seed << ": too few same-instant arrivals";
+    EXPECT_GT(merged.size(), 200u) << "seed " << seed;
+    EXPECT_EQ(merged, sorted) << "seed " << seed;
+  }
 }
 
 // RED on a shared bottleneck under sharding: each queue is built on the

@@ -279,6 +279,35 @@ std::size_t match_brace(const std::string& t, std::size_t open) {
   return std::string::npos;
 }
 
+// The brace scopes open at offset `at`, outermost first: a class or struct
+// body by its name, any other scope (namespace, function or lambda body,
+// braced initializer) as "". One forward pass over the text.
+std::vector<std::string> scopes_at(const std::string& t, std::size_t at) {
+  std::vector<std::string> stack;
+  std::string pending;
+  for (std::size_t i = 0; i < at && i < t.size(); ++i) {
+    const char c = t[i];
+    if (c == '{') {
+      stack.push_back(pending);
+      pending.clear();
+    } else if (c == '}') {
+      if (!stack.empty()) stack.pop_back();
+    } else if (c == ';' || c == '(') {
+      pending.clear();  // forward declaration / function parameters
+    } else if (word_at(t, i, "class") || word_at(t, i, "struct")) {
+      std::size_t q = i + (word_at(t, i, "class") ? 5 : 6);
+      while (q < t.size() &&
+             std::isspace(static_cast<unsigned char>(t[q])) != 0)
+        ++q;
+      std::size_t b = q;
+      while (q < t.size() && ident_char(t[q])) ++q;
+      if (q > b) pending = t.substr(b, q - b);
+      i = q - 1;
+    }
+  }
+  return stack;
+}
+
 // ---------------------------------------------------------------------------
 // rrtcp-hot-path-alloc
 //
@@ -309,31 +338,9 @@ struct HotAnalyzer {
   }
 
   // Name of the class/struct whose body encloses offset `at` (innermost
-  // named scope), or "" at namespace/function scope. One forward pass
-  // maintaining a brace-scope stack.
+  // named scope), or "" at namespace/function scope.
   static std::string enclosing_class(const std::string& t, std::size_t at) {
-    std::vector<std::string> stack;
-    std::string pending;
-    for (std::size_t i = 0; i < at && i < t.size(); ++i) {
-      const char c = t[i];
-      if (c == '{') {
-        stack.push_back(pending);
-        pending.clear();
-      } else if (c == '}') {
-        if (!stack.empty()) stack.pop_back();
-      } else if (c == ';' || c == '(') {
-        pending.clear();  // forward declaration / function parameters
-      } else if (word_at(t, i, "class") || word_at(t, i, "struct")) {
-        std::size_t q = i + (word_at(t, i, "class") ? 5 : 6);
-        while (q < t.size() &&
-               std::isspace(static_cast<unsigned char>(t[q])) != 0)
-          ++q;
-        std::size_t b = q;
-        while (q < t.size() && ident_char(t[q])) ++q;
-        if (q > b) pending = t.substr(b, q - b);
-        i = q - 1;
-      }
-    }
+    const std::vector<std::string> stack = scopes_at(t, at);
     for (std::size_t i = stack.size(); i-- > 0;)
       if (!stack[i].empty()) return stack[i];
     return "";
@@ -615,10 +622,35 @@ void check_nondet_iteration(const SourceFile& f, const FlatText& ft,
 // declarations (char arrays, and variables or parameters of type Packet,
 // which no event may carry: a packet that waits on the clock belongs in a
 // net::DelayLine); flag estimates above the scheduler's inline budget
-// (sim::kEventInlineBytes). Purely size-visible cases only — the plugin
-// computes real sizeof.
+// (sim::kEventInlineBytes). Packet-typed data members are collected over
+// every file of the run, since a struct is often declared in a header and
+// its member captured in a .cpp (`[dst, pkt = std::move(e.pkt)]`). Purely
+// size-visible cases only — the plugin computes real sizeof.
+
+// Adds the names of the Packet-typed data members declared directly in a
+// class or struct body of `ft` (`net::Packet pkt;`, `Packet pkt{};`).
+void collect_packet_members(const FlatText& ft, std::set<std::string>& out) {
+  const std::string& t = ft.text;
+  for (std::size_t p = find_word(t, "Packet"); p != std::string::npos;
+       p = find_word(t, "Packet", p + 1)) {
+    std::size_t q = p + 6;
+    while (q < t.size() && std::isspace(static_cast<unsigned char>(t[q])))
+      ++q;
+    const std::size_t b = q;
+    while (q < t.size() && ident_char(t[q])) ++q;
+    if (q == b || t.compare(b, q - b, "const") == 0) continue;
+    const std::string name = t.substr(b, q - b);
+    while (q < t.size() && std::isspace(static_cast<unsigned char>(t[q])))
+      ++q;
+    if (q >= t.size() || (t[q] != ';' && t[q] != '=' && t[q] != '{'))
+      continue;  // a function, a parameter, or no declaration at all
+    const std::vector<std::string> scopes = scopes_at(t, p);
+    if (!scopes.empty() && !scopes.back().empty()) out.insert(name);
+  }
+}
 
 void check_smallfn_inline(const SourceFile& f, const FlatText& ft,
+                          const std::set<std::string>& packet_members,
                           std::vector<Diagnostic>& diags) {
   constexpr std::size_t kInlineBytes = rrtcp::sim::kEventInlineBytes;
   // Visible fixed-size char buffers: name -> bytes.
@@ -653,7 +685,7 @@ void check_smallfn_inline(const SourceFile& f, const FlatText& ft,
     if (q == b || ft.text.compare(b, q - b, "const") == 0) continue;
     buffers[ft.text.substr(b, q - b)] = sizeof(rrtcp::net::Packet);
   }
-  if (buffers.empty()) return;
+  if (buffers.empty() && packet_members.empty()) return;
   for (const char* call : {"schedule_at", "schedule_in", "schedule_reserved"}) {
     for (std::size_t p = find_word(ft.text, call); p != std::string::npos;
          p = find_word(ft.text, call, p + 1)) {
@@ -705,18 +737,31 @@ void check_smallfn_inline(const SourceFile& f, const FlatText& ft,
         if (item.empty() || item[0] == '&') continue;  // by-reference
         const std::size_t eq = item.find('=');
         auto it = buffers.find(item.substr(0, eq));
-        if (it == buffers.end() && eq != std::string::npos) {
+        std::size_t bytes = it == buffers.end() ? 0 : it->second;
+        if (bytes == 0 && eq != std::string::npos) {
           // Init-capture: size it by the last name its initializer reads
-          // (`pkt = std::move(p)` copies p).
+          // (`pkt = std::move(p)` copies p). A Packet member read through
+          // `.` or `->` (`pkt = std::move(e.pkt)`) copies a packet too,
+          // unless its address is taken.
           std::size_t e = item.size();
           while (e > eq && !ident_char(item[e - 1])) --e;
           std::size_t start = e;
           while (start > eq + 1 && ident_char(item[start - 1])) --start;
-          it = buffers.find(item.substr(start, e - start));
+          const std::string read = item.substr(start, e - start);
+          it = buffers.find(read);
+          const bool member_read =
+              start > eq + 2 && (item[start - 1] == '.' ||
+                                 (item[start - 2] == '-' &&
+                                  item[start - 1] == '>'));
+          if (it != buffers.end())
+            bytes = it->second;
+          else if (member_read && item[eq + 1] != '&' &&
+                   packet_members.count(read) != 0)
+            bytes = sizeof(rrtcp::net::Packet);
         }
         item = item.substr(0, eq);
-        if (it != buffers.end()) {
-          estimate += it->second;
+        if (bytes != 0) {
+          estimate += bytes;
           captured_big = item;
         }
       }
@@ -851,10 +896,12 @@ int main(int argc, char** argv) {
   std::vector<SourceFile> sources;
   std::vector<FlatText> flats;
   HotAnalyzer hot;
+  std::set<std::string> packet_members;
   for (const std::string& path : files) {
     sources.push_back(load(path));
     flats.push_back(flatten(sources.back()));
     hot.collect(flats.back());
+    collect_packet_members(flats.back(), packet_members);
   }
 
   std::vector<Diagnostic> diags;
@@ -862,7 +909,7 @@ int main(int argc, char** argv) {
     hot.analyze(sources[i], flats[i], diags);
     check_unnamed_rng(sources[i], flats[i], diags);
     check_nondet_iteration(sources[i], flats[i], diags);
-    check_smallfn_inline(sources[i], flats[i], diags);
+    check_smallfn_inline(sources[i], flats[i], packet_members, diags);
     check_wall_clock(sources[i], flats[i], diags);
     check_sim_time_equality(sources[i], flats[i], diags);
   }

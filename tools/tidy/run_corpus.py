@@ -8,6 +8,10 @@ contract each fixture encodes:
               the fixture's `// EXPECT: rrtcp-...` marker;
   *_clean.cpp must produce no rrtcp-* diagnostic at all.
 
+A fixture `<stem>_bad.cpp` or `<stem>_clean.cpp` may include a header
+`<stem>.hpp` next to it; the lite checker, which reads only the files it
+is given, then runs on both.
+
 Two interchangeable checkers (same diagnostic format):
 
   --lite <binary>         the portable token-level fallback
@@ -55,6 +59,15 @@ def run_checker(args, files):
     return ids, proc.stdout
 
 
+def fixture_files(args, fixture):
+    """The files one fixture runs on: itself, plus its header for lite."""
+    stem = re.sub(r"_(bad|clean)\.cpp$", "", fixture.name)
+    header = fixture.with_name(stem + ".hpp")
+    if args.lite and header.exists():
+        return [fixture, header]
+    return [fixture]
+
+
 def check_corpus(args):
     corpus = pathlib.Path(args.corpus)
     bad = sorted(corpus.glob("*_bad.cpp"))
@@ -74,7 +87,7 @@ def check_corpus(args):
             failures += 1
             continue
         expected = expect.group(1)
-        ids, output = run_checker(args, [fixture])
+        ids, output = run_checker(args, fixture_files(args, fixture))
         if expected in ids:
             print(f"ok   {fixture.name}: fired {expected}")
         else:
@@ -86,7 +99,7 @@ def check_corpus(args):
             failures += 1
 
     for fixture in clean:
-        ids, output = run_checker(args, [fixture])
+        ids, output = run_checker(args, fixture_files(args, fixture))
         if ids:
             print(f"FAIL {fixture.name}: expected clean, fired {sorted(ids)}")
             print(output)
