@@ -63,9 +63,12 @@ class Environment {
   // endpoint. One agent per flow; re-attaching replaces.
   virtual void attach(net::FlowId flow, net::Agent* agent) = 0;
   virtual void detach(net::FlowId flow) = 0;
-  // Hand an egress packet to the environment (synchronous: the packet has
-  // left the endpoint when this returns; delivery latency is the
-  // environment's business).
+  // Hand an egress packet to the environment. On return the environment
+  // owns it and the caller has nothing more to do; when it reaches the
+  // wire, and its delivery latency, are the environment's business. The
+  // simulator injects it at once; the live transport queues it and
+  // transmits it by the end of the current dispatch, or at the next
+  // poll() when sent outside one (LiveEnvironment, src/live/live_env.hpp).
   virtual void send(net::Packet p) = 0;
 
   // ---- Timers ----------------------------------------------------------

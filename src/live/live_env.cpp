@@ -1,13 +1,14 @@
 #include "live/live_env.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
-#include <sys/epoll.h>
+#include <netinet/udp.h>
+#include <poll.h>
 #include <sys/socket.h>
-#include <sys/timerfd.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <ctime>
@@ -21,6 +22,17 @@
 namespace rrtcp::live {
 
 namespace {
+
+// A UDP GSO run (see the file comment of live_env.hpp): at most this many
+// segments, this many bytes in all (the IPv4 UDP payload limit), and
+// segments no larger than a 1,500-byte Ethernet MTU less IP and UDP
+// headers.
+constexpr std::size_t kGsoMaxSegments = 64;
+constexpr std::size_t kGsoMaxBytes = 65'507;
+constexpr std::size_t kGsoMaxSegmentBytes = 1'472;
+
+static_assert(kMaxWireDatagram <= UINT16_MAX,
+              "outbox lengths are 16-bit");
 
 [[noreturn]] void die(const char* what) {
   throw std::runtime_error(std::string("live: ") + what + ": " +
@@ -60,20 +72,6 @@ LiveEnvironment::LiveEnvironment(LiveConfig cfg) : cfg_{std::move(cfg)} {
     peer_known_ = true;
   }
 
-  timer_fd_ = ::timerfd_create(CLOCK_MONOTONIC, TFD_NONBLOCK | TFD_CLOEXEC);
-  if (timer_fd_ < 0) die("timerfd_create");
-
-  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-  if (epoll_fd_ < 0) die("epoll_create1");
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = sock_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, sock_fd_, &ev) != 0)
-    die("epoll_ctl(socket)");
-  ev.data.fd = timer_fd_;
-  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, timer_fd_, &ev) != 0)
-    die("epoll_ctl(timerfd)");
-
   epoch_ns_ = monotonic_ns();
 
   filters_.reserve(cfg_.faults.faults.size());
@@ -88,8 +86,7 @@ LiveEnvironment::LiveEnvironment(LiveConfig cfg) : cfg_{std::move(cfg)} {
 }
 
 LiveEnvironment::~LiveEnvironment() {
-  if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  if (timer_fd_ >= 0) ::close(timer_fd_);
+  // Datagrams still in the outbox are dropped, as closing a socket would.
   if (sock_fd_ >= 0) ::close(sock_fd_);
 }
 
@@ -111,15 +108,69 @@ void LiveEnvironment::send(net::Packet p) {
     ++unroutable_;  // the RTO will retry once the peer introduces itself
     return;
   }
-  std::uint8_t buf[kMaxWireDatagram];
-  const std::size_t n = encode(p, buf, sizeof buf);
-  RRTCP_ASSERT_MSG(n > 0, "live: unencodable packet");
-  const ssize_t rc =
-      ::sendto(sock_fd_, buf, n, 0,
-               reinterpret_cast<const sockaddr*>(peer_addr_), peer_addr_len_);
-  // A full socket buffer (EAGAIN/ENOBUFS) is a legitimate packet drop: the
-  // kernel queue is this transport's bottleneck queue. TCP recovers.
-  if (rc >= 0) ++sent_;
+  const std::size_t offset = outbox_.size();
+  outbox_.resize(offset + wire_size(p));
+  const std::size_t n =
+      encode(p, outbox_.data() + offset, outbox_.size() - offset);
+  RRTCP_ASSERT_MSG(n == outbox_.size() - offset, "live: unencodable packet");
+  outbox_len_.push_back(static_cast<std::uint16_t>(n));
+}
+
+void LiveEnvironment::flush() {
+  const std::size_t total = outbox_len_.size();
+  std::size_t offset = 0;
+  for (std::size_t i = 0; i < total;) {
+    const std::size_t segment = outbox_len_[i];
+    std::size_t count = 1;
+    std::size_t bytes = segment;
+    if (segment <= kGsoMaxSegmentBytes) {
+      while (i + count < total && count < kGsoMaxSegments) {
+        const std::size_t next = outbox_len_[i + count];
+        if (next > segment || bytes + next > kGsoMaxBytes) break;
+        ++count;
+        bytes += next;
+        if (next < segment) break;  // a shorter datagram closes the run
+      }
+    }
+    send_run(offset, bytes, count, segment);
+    i += count;
+    offset += bytes;
+  }
+  outbox_.clear();
+  outbox_len_.clear();
+}
+
+void LiveEnvironment::send_run(std::size_t offset, std::size_t bytes,
+                               std::size_t count, std::size_t segment) {
+  iovec iov{outbox_.data() + offset, bytes};
+  msghdr msg{};
+  msg.msg_name = peer_addr_;
+  msg.msg_namelen = peer_addr_len_;
+  msg.msg_iov = &iov;
+  msg.msg_iovlen = 1;
+  alignas(cmsghdr) unsigned char control[CMSG_SPACE(sizeof(std::uint16_t))] =
+      {};
+  if (count > 1) {
+    msg.msg_control = control;
+    msg.msg_controllen = sizeof control;
+    cmsghdr* cm = CMSG_FIRSTHDR(&msg);
+    cm->cmsg_level = SOL_UDP;
+    cm->cmsg_type = UDP_SEGMENT;
+    cm->cmsg_len = CMSG_LEN(sizeof(std::uint16_t));
+    const auto gso_size = static_cast<std::uint16_t>(segment);
+    std::memcpy(CMSG_DATA(cm), &gso_size, sizeof gso_size);
+  }
+  for (;;) {
+    if (::sendmsg(sock_fd_, &msg, 0) >= 0) {
+      sent_ += count;
+      return;
+    }
+    if (errno == EINTR) continue;
+    // A full socket buffer is a legitimate drop of the whole run: the
+    // kernel queue is this transport's bottleneck queue. TCP recovers.
+    if (errno == EAGAIN || errno == EWOULDBLOCK || errno == ENOBUFS) return;
+    die("sendmsg");
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -154,7 +205,6 @@ void LiveEnvironment::timer_arm(TimerId id, sim::Time delay) {
   slot.armed = true;
   slot.deadline = now() + delay;
   slot.arm_seq = next_arm_seq_++;
-  if (slot.deadline < programmed_) program_timerfd(slot.deadline);
 }
 
 void LiveEnvironment::timer_cancel(TimerId id) {
@@ -167,28 +217,10 @@ bool LiveEnvironment::timer_pending(TimerId id) const {
   return timers_[id].armed;
 }
 
-void LiveEnvironment::program_timerfd(sim::Time deadline) {
-  // Absolute CLOCK_MONOTONIC expiry; infinity disarms (zero it_value).
-  itimerspec its{};
-  if (deadline != sim::Time::infinity()) {
-    std::int64_t ns = epoch_ns_ + deadline.ps() / 1'000;
-    if (ns <= 0) ns = 1;  // already due: fire immediately
-    its.it_value.tv_sec = ns / 1'000'000'000;
-    its.it_value.tv_nsec = ns % 1'000'000'000;
-  }
-  if (::timerfd_settime(timer_fd_, TFD_TIMER_ABSTIME, &its, nullptr) != 0)
-    die("timerfd_settime");
-  programmed_ = deadline;
-}
-
 int LiveEnvironment::fire_due_timers() {
-  // Drain the timerfd's expiry count, then fire every due timer in
-  // (deadline, arm-order) — the simulator's determinism contract. The
-  // wake-up may be early (its timer was cancelled or re-armed later);
-  // either way the timerfd is reprogrammed to the true earliest deadline.
-  std::uint64_t expirations = 0;
-  const ssize_t drained = ::read(timer_fd_, &expirations, sizeof expirations);
-  (void)drained;  // an empty timerfd (EAGAIN) is fine — we scan deadlines
+  // Fire every due timer in (deadline, arm-order) — the simulator's
+  // determinism contract. A callback may arm a timer that is already due;
+  // it fires in this same pass.
   int fired = 0;
   for (;;) {
     const sim::Time t = now();
@@ -207,12 +239,32 @@ int LiveEnvironment::fire_due_timers() {
     timers_[best].on_fire();  // may re-arm, create, or destroy timers
     ++fired;
   }
-  sim::Time earliest = sim::Time::infinity();  // infinity disarms
+  return fired;
+}
+
+sim::Time LiveEnvironment::earliest_deadline() const {
+  sim::Time earliest = sim::Time::infinity();
   for (const TimerSlot& s : timers_) {
     if (s.live && s.armed && s.deadline < earliest) earliest = s.deadline;
   }
-  program_timerfd(earliest);
-  return fired;
+  return earliest;
+}
+
+void LiveEnvironment::wait_readable(sim::Time until) {
+  // Sleeps until the socket is readable or `until` (environment clock)
+  // passes; infinity waits for the socket alone. The relative timeout is
+  // rounded up to whole nanoseconds so the wake-up is never early.
+  timespec ts{};
+  const timespec* timeout = nullptr;
+  if (until != sim::Time::infinity()) {
+    const std::int64_t ps = std::max<std::int64_t>((until - now()).ps(), 0);
+    const std::int64_t ns = (ps + 999) / 1'000;
+    ts.tv_sec = ns / 1'000'000'000;
+    ts.tv_nsec = ns % 1'000'000'000;
+    timeout = &ts;
+  }
+  pollfd pfd{sock_fd_, POLLIN, 0};
+  if (::ppoll(&pfd, 1, timeout, nullptr) < 0 && errno != EINTR) die("ppoll");
 }
 
 // ---------------------------------------------------------------------------
@@ -262,9 +314,10 @@ int LiveEnvironment::drain_socket() {
                                  reinterpret_cast<sockaddr*>(&from), &from_len);
     if (n < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      if (errno == EINTR) continue;
-      // ECONNREFUSED from a previous send's ICMP error: ignore, keep going.
-      continue;
+      // EINTR, or ECONNREFUSED from a previous send's ICMP error (reading
+      // it clears it): skip and keep draining.
+      if (errno == EINTR || errno == ECONNREFUSED) continue;
+      die("recvfrom");
     }
     net::Packet p;
     if (!decode(buf, static_cast<std::size_t>(n), &p)) {
@@ -298,17 +351,18 @@ int LiveEnvironment::drain_socket() {
 // Event loop
 
 int LiveEnvironment::poll(int timeout_ms) {
-  epoll_event events[4];
-  int n = ::epoll_wait(epoll_fd_, events, 4, timeout_ms);
-  if (n < 0) {
-    if (errno == EINTR) return 0;
-    die("epoll_wait");
+  flush();  // sends made outside a dispatch, e.g. sender->start()
+  int dispatched = fire_due_timers() + drain_socket();
+  if (dispatched == 0 && timeout_ms != 0) {
+    const sim::Time until =
+        timeout_ms < 0 ? sim::Time::infinity()
+                       : now() + sim::Time::milliseconds(timeout_ms);
+    while (dispatched == 0 && now() < until) {
+      wait_readable(std::min(until, earliest_deadline()));
+      dispatched = fire_due_timers() + drain_socket();
+    }
   }
-  int dispatched = 0;
-  for (int i = 0; i < n; ++i) {
-    if (events[i].data.fd == timer_fd_) dispatched += fire_due_timers();
-    if (events[i].data.fd == sock_fd_) dispatched += drain_socket();
-  }
+  flush();
   return dispatched;
 }
 

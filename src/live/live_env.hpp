@@ -1,22 +1,52 @@
 // The real-network embodiment of env::Environment.
 //
-// One LiveEnvironment is one endpoint of a UDP "connection": a nonblocking
-// UDP socket, an epoll instance, and one CLOCK_MONOTONIC timerfd armed no
-// later than the earliest pending deadline of the environment's timer
-// registry (see timer_arm below). The clock is CLOCK_MONOTONIC rebased to
-// zero at construction, so transport code sees the same near-zero
-// sim::Time values it sees in the simulator — and never wall time
-// (src/live is the only place the rrtcp-wall-clock tidy check permits a
-// real clock, and even here it is the monotonic one).
+// One LiveEnvironment is one endpoint of a UDP "connection": one
+// nonblocking UDP socket and nothing else — no epoll instance, no timerfd.
+// Construction makes three syscalls (socket, bind, getsockname) and
+// destruction one (close). The clock is CLOCK_MONOTONIC rebased to zero at
+// construction, so transport code sees the same near-zero sim::Time values
+// it sees in the simulator — and never wall time (src/live is the only
+// place the rrtcp-wall-clock tidy check permits a real clock, and even here
+// it is the monotonic one).
 //
 // Threading model: single-threaded, pull-based. Nothing happens between
 // poll() calls — arriving datagrams queue in the kernel socket buffer and
-// expired timers latch in the timerfd until the owner polls. poll()
-// dispatches, in epoll order, every due timer (deadline-then-arm order,
-// matching the simulator's (time, insertion-seq) determinism) and every
-// readable datagram. This is what lets a differential test drive two
-// LiveEnvironments (client + server) from one thread, and what guarantees
-// the interface contract that receive and timer callbacks never overlap.
+// timers simply come due. poll() fires every due timer (deadline-then-arm
+// order, matching the simulator's (time, insertion-seq) determinism), then
+// drains every readable datagram. Only when that dispatched nothing and the
+// timeout is not zero does it wait, in ppoll(2) on the one socket fd, for
+// at most min(timeout, earliest armed deadline - now) at nanosecond
+// precision; timers need no fd of their own because the wait itself is
+// bounded by the next deadline. This is what lets a differential test
+// drive two LiveEnvironments (client + server) from one thread, and what
+// guarantees the interface contract that receive and timer callbacks never
+// overlap.
+//
+// Egress is batched. send() makes no syscall: it encodes the packet onto a
+// per-environment outbox (datagrams back to back, plus each one's length).
+// poll() flushes the outbox at two points: on entry, for sends made
+// outside a dispatch (sender->start(), a test's direct send()), and after
+// dispatching, for everything the callbacks sent. A flush sends each run of
+// consecutive equal-size datagrams as ONE sendmsg carrying a UDP_SEGMENT
+// (UDP GSO, Linux >= 4.18) control message; the kernel cuts it back into
+// the original datagrams. A run holds at most 64 segments and 65,507 B (the
+// IPv4 UDP payload limit), only datagrams of <= 1,472 B (so a segment fits
+// a 1,500-byte Ethernet MTU), and may be closed by one shorter datagram; a
+// run of one is the same sendmsg without the control message. Datagrams
+// leave in send order, so the peer receives them in send order, one
+// datagram per packet: the receiver does not enable UDP_GRO, which would
+// coalesce them. (Measured on loopback, GRO raised throughput further but
+// its setsockopt cost about 22 us of set-up and 22 us of teardown per
+// endpoint pair, roughly four times the whole set-up without it.) The
+// outbox grows to its high-water mark and keeps its capacity, so a
+// steady-state send() does not allocate.
+//
+// Errors. Construction failures throw std::runtime_error. After that, a
+// full socket buffer on send (EAGAIN/ENOBUFS) drops the run — the kernel
+// queue is this transport's bottleneck queue, and TCP recovers — and
+// ECONNREFUSED on receive (an ICMP error from an earlier send) is skipped;
+// any other send, receive or wait error throws std::runtime_error from
+// poll() with the errno text rather than dropping or spinning silently.
 //
 // Peer addressing follows the classic UDP server idiom: a client is given
 // the server's address at construction; a server binds and learns its
@@ -31,6 +61,7 @@
 // delay-spike kinds need egress scheduling and are not applied live.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -61,9 +92,8 @@ struct LiveConfig {
 
 class LiveEnvironment final : public env::Environment {
  public:
-  // Binds the socket and sets up epoll + timerfd. Throws std::runtime_error
-  // on any syscall failure (construction is cold; transport code never
-  // sees exceptions after it).
+  // Creates and binds the socket. Throws std::runtime_error on any syscall
+  // failure (construction is cold).
   explicit LiveEnvironment(LiveConfig cfg);
   ~LiveEnvironment() override;
 
@@ -78,12 +108,11 @@ class LiveEnvironment final : public env::Environment {
     agents_.insert_or_assign(flow, agent);
   }
   void detach(net::FlowId flow) override { agents_.erase(flow); }
+  // Encodes onto the outbox; the datagram leaves at the end of the current
+  // dispatch, or at the next poll() when sent outside one.
   void send(net::Packet p) override;
-  // Arming reprograms the timerfd only when the new deadline is earlier
-  // than the one it holds; cancel and destroy never touch it. A wake-up
-  // for a deadline that was cancelled or pushed back fires nothing and
-  // reprograms the timerfd to the true earliest deadline, so an RTO
-  // restart per ACK costs no syscall.
+  // Timers are deadlines in a slot table and cost no syscall: poll() fires
+  // the due ones and bounds its wait by the earliest.
   TimerId timer_create(std::function<void()> on_fire) override;
   void timer_destroy(TimerId id) override;
   void timer_arm(TimerId id, sim::Time delay) override;
@@ -91,8 +120,9 @@ class LiveEnvironment final : public env::Environment {
   bool timer_pending(TimerId id) const override;
 
   // ---- Event loop ------------------------------------------------------
-  // Wait up to `timeout_ms` (-1 = forever, 0 = nonblocking) for anything
-  // to do, then dispatch every due timer and every readable datagram.
+  // Flush the outbox; dispatch every due timer and every readable datagram,
+  // first waiting up to `timeout_ms` (-1 = forever, 0 = not at all) for
+  // one when there is none; then flush again.
   // Returns the number of callbacks dispatched (0 = timed out idle).
   int poll(int timeout_ms);
 
@@ -105,6 +135,7 @@ class LiveEnvironment final : public env::Environment {
   bool peer_known() const { return peer_known_; }
 
   // ---- Statistics ------------------------------------------------------
+  // Datagrams the kernel accepted (a GSO run counts each of its segments).
   std::uint64_t datagrams_sent() const { return sent_; }
   std::uint64_t datagrams_received() const { return received_; }
   std::uint64_t decode_failures() const { return decode_failures_; }
@@ -121,15 +152,17 @@ class LiveEnvironment final : public env::Environment {
   };
 
   std::int64_t monotonic_ns() const;
-  void program_timerfd(sim::Time deadline);
   int fire_due_timers();
+  sim::Time earliest_deadline() const;
+  void wait_readable(sim::Time until);
   int drain_socket();
+  void flush();
+  void send_run(std::size_t offset, std::size_t bytes, std::size_t count,
+                std::size_t segment);
   bool ingress_filtered(const net::Packet& p);
 
   LiveConfig cfg_;
   int sock_fd_ = -1;
-  int epoll_fd_ = -1;
-  int timer_fd_ = -1;
   std::int64_t epoch_ns_ = 0;  // CLOCK_MONOTONIC at construction
   std::uint16_t local_port_ = 0;
 
@@ -143,8 +176,10 @@ class LiveEnvironment final : public env::Environment {
   std::vector<TimerSlot> timers_;
   std::vector<TimerId> free_;
   std::uint64_t next_arm_seq_ = 0;
-  // The deadline the timerfd is programmed to; infinity when disarmed.
-  sim::Time programmed_ = sim::Time::infinity();
+
+  // Egress outbox: encoded datagrams back to back, and each one's length.
+  std::vector<std::uint8_t> outbox_;
+  std::vector<std::uint16_t> outbox_len_;
 
   // Armed ingress filter state, one RNG stream per spec (same naming
   // convention as chaos::FaultInjector).
