@@ -20,15 +20,9 @@ Simulator::Simulator() {
       wheel_head_[level][b] = detail::kNilLink;
       wheel_tail_[level][b] = detail::kNilLink;
     }
-  // Same-tick chains form lazily on the first timestamp collision, which
-  // in a jittered workload can land long after warm-up. Reserve the chain
-  // table (and free list) here so that first collision stays alloc-free
-  // in steady state.
-  chains_.reserve(16);
-  free_chains_.reserve(16);
-  // Pre-size the heap to a working floor (24 KiB). A chain upgrade adds
-  // one entry on top of the warmed high-water mark; without slack that
-  // single push can land exactly on a doubling boundary mid-measurement.
+  // Pre-size the heap to a working floor (24 KiB), above the heap depth of
+  // a short scenario, so most runs never grow it and a long one starts
+  // its doubling from there.
   heap_.reserve(1024);
 }
 
@@ -94,11 +88,6 @@ void Simulator::insert_far(std::uint32_t slot, detail::EventNode& n) {
     if ((t >> shift) - (wheel_now_ps_ >> shift) <
         static_cast<std::int64_t>(kWheelSlots)) {
       wheel_link(level, slot, n);
-      // A wheel insert closes any open same-tick heap run: a later heap
-      // insert at the same instant must not batch past this event. (This
-      // only matters when the run's instant entered the wheel span after
-      // its anchor overflowed to the heap — rare, but order-critical.)
-      cache_at_ps_ = kNoCache;
       return;
     }
   }
@@ -152,21 +141,13 @@ void Simulator::advance_wheel_once() {
   // inside the current coarse tick, so their events go straight to the
   // heap; coarser buckets cascade into strictly finer levels (every event
   // of a level-k bucket fits level k-1 once wheel_now_ sits at the bucket
-  // start). List order is insertion order, so consecutive same-instant
-  // events with ascending seq re-batch into chains as they flush.
+  // start). Each heap-bound event gets its own entry under its original
+  // (at, seq) key, so the heap's tie-break restores insertion order
+  // whatever order the bucket list holds them in.
   std::uint32_t s = wheel_head_[best_level][best_bucket];
   wheel_head_[best_level][best_bucket] = detail::kNilLink;
   wheel_tail_[best_level][best_bucket] = detail::kNilLink;
   wheel_bits_[best_level] &= ~(std::uint64_t{1} << best_bucket);
-
-  // Open runs for this flush live in flush_runs_ (deliberately NOT the
-  // schedule-time cache: a flushed run must never merge into a chain that
-  // younger events already extend — seqs would interleave). See the table
-  // declaration for the FIFO argument; the short version: an instant
-  // claims a table slot at most once per flush, a node batches only when
-  // its seq exceeds the instant's high-water mark, and everything else
-  // becomes its own heap entry ordered by the (at, seq) tie-break.
-  ++flush_epoch_;
 
   while (s != detail::kNilLink) {
     detail::EventNode& n = node(s);
@@ -183,149 +164,12 @@ void Simulator::advance_wheel_once() {
           break;
         }
       }
-      s = next;
-      continue;
-    }
-    // Heap-bound. Find this instant's run: an exact match wins; otherwise
-    // remember a free (stale-epoch) slot to claim.
-    const std::uint32_t h = flush_slot_of(n.at_ps);
-    FlushRun* run = nullptr;
-    FlushRun* claim = nullptr;
-    for (const std::uint32_t probe : {h, h ^ 1u}) {
-      FlushRun& cand = flush_runs_[probe];
-      if (cand.epoch == flush_epoch_) {
-        if (cand.at_ps == n.at_ps) {
-          run = &cand;
-          break;
-        }
-      } else if (claim == nullptr) {
-        claim = &cand;
-      }
-    }
-    if (run != nullptr && n.seq > run->max_seq) {
-      // Extends the instant's run: batch it behind one heap entry.
-      if (!run->is_chain) {
-        run->ref = upgrade_to_chain(run->ref);
-        run->is_chain = true;
-      }
-      chain_append(run->ref, s, n);
-      run->max_seq = n.seq;
     } else {
-      n.loc = detail::kLocHeap;
-      heap_push(HeapEntry{Time::picoseconds(n.at_ps), n.seq, s});
-      if (run != nullptr) {
-        // Below the instant's high-water mark (a cascade delivered this
-        // node behind younger direct inserts): it sorts on its own entry —
-        // batching it into the younger chain would jump the seq order. The
-        // run itself stays open for later, higher seqs.
-      } else if (claim != nullptr) {
-        *claim = FlushRun{n.at_ps, flush_epoch_, n.seq, s, false};
-      }
-      // Both probe slots busy with other instants: stay un-batched.
+      insert_near(s, n);
     }
     s = next;
   }
   recompute_wheel_lb();
-}
-
-// ---------------------------------------------------------------------------
-// Same-tick chains
-
-std::uint32_t Simulator::alloc_chain(std::int64_t at_ps) {
-  std::uint32_t ci;
-  if (free_chains_.empty()) {
-    ci = static_cast<std::uint32_t>(chains_.size());
-    // chains_ is reserved in the constructor and only grows past that
-    // under pathological same-tick nesting; steady state recycles through
-    // free_chains_.
-    // NOLINTNEXTLINE(rrtcp-hot-path-alloc)
-    chains_.push_back(Chain{});
-  } else {
-    ci = free_chains_.back();
-    free_chains_.pop_back();
-  }
-  Chain& c = chains_[ci];
-  c.head = c.tail = detail::kNilLink;
-  c.count = 0;
-  c.at_ps = at_ps;
-  return ci;
-}
-
-// Turn a single heap-resident event into the first member of a chain. The
-// chain's heap entry inherits the anchor's (at, seq) key — its sort
-// position is unchanged — and the anchor's old entry goes stale.
-std::uint32_t Simulator::upgrade_to_chain(std::uint32_t anchor_slot) {
-  detail::EventNode& a = node(anchor_slot);
-  const std::uint32_t ci = alloc_chain(a.at_ps);
-  Chain& c = chains_[ci];
-  a.loc = detail::kLocChain;
-  a.owner = ci;
-  a.prev = detail::kNilLink;
-  a.next = detail::kNilLink;
-  c.head = c.tail = anchor_slot;
-  c.count = 1;
-  ++stale_heap_;  // the anchor's plain entry is now dead
-  heap_push(HeapEntry{Time::picoseconds(a.at_ps), a.seq, kChainFlag | ci});
-  return ci;
-}
-
-void Simulator::chain_append(std::uint32_t ci, std::uint32_t slot,
-                             detail::EventNode& n) {
-  Chain& c = chains_[ci];
-  n.loc = detail::kLocChain;
-  n.owner = ci;
-  n.next = detail::kNilLink;
-  n.prev = c.tail;
-  node(c.tail).next = slot;
-  c.tail = slot;
-  ++c.count;
-}
-
-void Simulator::chain_unlink(detail::EventNode& n) {
-  Chain& c = chains_[n.owner];
-  if (n.prev == detail::kNilLink)
-    c.head = n.next;
-  else
-    node(n.prev).next = n.next;
-  if (n.next == detail::kNilLink)
-    c.tail = n.prev;
-  else
-    node(n.next).prev = n.prev;
-  // An emptied chain leaves its heap entry behind as a corpse; it is
-  // reaped (and the chain index recycled) when it reaches the top or the
-  // heap compacts.
-  if (--c.count == 0) ++stale_heap_;
-}
-
-void Simulator::insert_same_tick(std::uint32_t slot, detail::EventNode& n) {
-  const std::int64_t t = n.at_ps;
-  if (cache_is_chain_) {
-    Chain& c = chains_[cache_ref_];
-    // The tail-seq check defeats ABA on recycled chain indexes: only the
-    // chain whose tail is literally the previous insert may be extended.
-    if (c.count > 0 && c.at_ps == t && node(c.tail).seq == cache_seq_) {
-      chain_append(cache_ref_, slot, n);
-      cache_seq_ = n.seq;
-      return;
-    }
-  } else {
-    detail::EventNode& a = node(cache_ref_);
-    if (a.seq == cache_seq_ && a.loc == detail::kLocHeap && a.at_ps == t) {
-      const std::uint32_t ci = upgrade_to_chain(cache_ref_);
-      chain_append(ci, slot, n);
-      cache_is_chain_ = true;
-      cache_ref_ = ci;
-      cache_seq_ = n.seq;
-      return;
-    }
-  }
-  // Anchor fired, cancelled, or moved since it was cached: start a fresh
-  // run at the same instant (cache_at_ps_ already == t).
-  n.loc = detail::kLocHeap;
-  cache_ref_ = slot;
-  cache_seq_ = n.seq;
-  cache_is_chain_ = false;
-  heap_push(HeapEntry{Time::picoseconds(t), n.seq, slot});
 }
 
 // ---------------------------------------------------------------------------
@@ -336,10 +180,7 @@ bool Simulator::cancel_event(std::uint32_t slot, std::uint64_t seq) {
   detail::EventNode& n = node(slot);
   if (n.seq != seq) return false;  // already fired, cancelled, or recycled
   const std::uint8_t loc = n.loc;
-  if (loc == detail::kLocChain)
-    chain_unlink(n);
-  else if (loc >= detail::kLocWheel0)
-    wheel_unlink(n);
+  if (loc >= detail::kLocWheel0) wheel_unlink(n);
   n.fn.reset();  // release captured resources eagerly
   n.seq = 0;
   n.loc = detail::kLocFree;
@@ -358,13 +199,9 @@ EventHandle Simulator::reschedule_at(const EventHandle& h, Time at) {
   RRTCP_ASSERT_MSG(h.seq_ != 0 && n.seq == h.seq_,
                    "reschedule_at requires a pending event");
   const std::uint8_t loc = n.loc;
-  if (loc == detail::kLocChain)
-    chain_unlink(n);
-  else if (loc >= detail::kLocWheel0)
-    wheel_unlink(n);
+  if (loc >= detail::kLocWheel0) wheel_unlink(n);
   // Re-sequencing keeps FIFO semantics identical to cancel + schedule;
-  // the stored callable and slot are reused untouched. A stale cache
-  // pointing at the old identity self-invalidates via the seq change.
+  // the stored callable and slot are reused untouched.
   n.seq = ++last_seq_;
   n.at_ps = at.ps();
   if (loc == detail::kLocHeap) note_stale();
@@ -402,18 +239,9 @@ void Simulator::heap_pop_top() {
 // then Floyd-heapify (bottom-up sift-down, O(n)).
 void Simulator::compact_heap() {
   std::size_t w = 0;
-  for (const HeapEntry& e : heap_) {
-    if (e.slot & kChainFlag) {
-      const std::uint32_t ci = e.slot & ~kChainFlag;
-      if (chains_[ci].count > 0)
-        heap_[w++] = e;
-      else
-        free_chain(ci);
-    } else if (node(e.slot).seq == e.seq &&
-               node(e.slot).loc == detail::kLocHeap) {
+  for (const HeapEntry& e : heap_)
+    if (node(e.slot).seq == e.seq && node(e.slot).loc == detail::kLocHeap)
       heap_[w++] = e;
-    }
-  }
   heap_.resize(w);
   if (w > 1)
     for (std::size_t i = (w - 2) >> 2;; --i) {
@@ -426,26 +254,9 @@ void Simulator::compact_heap() {
 bool Simulator::heap_settle_top() {
   while (!heap_.empty()) {
     const HeapEntry& top = heap_[0];
-    if (top.slot & kChainFlag) {
-      const std::uint32_t ci = top.slot & ~kChainFlag;
-      const Chain& c = chains_[ci];
-      if (c.count > 0) {
-        // The entry is keyed by the seq of the member that was head when
-        // it was pushed. Once that member fired or was cancelled the key
-        // is stale-low, and a reserved event keyed between two members
-        // (schedule_reserved) must still fire between them: re-key to the
-        // live head and let the entry sink to its true place.
-        const std::uint64_t head_seq = node(c.head).seq;
-        if (top.seq == head_seq) return true;
-        heap_[0].seq = head_seq;
-        sift_down(0);
-        continue;
-      }
-      free_chain(ci);  // fully cancelled chain
-    } else if (node(top.slot).seq == top.seq &&
-               node(top.slot).loc == detail::kLocHeap) {
+    if (node(top.slot).seq == top.seq &&
+        node(top.slot).loc == detail::kLocHeap)
       return true;
-    }
     RRTCP_DASSERT(stale_heap_ > 0);
     --stale_heap_;
     heap_pop_top();
@@ -486,31 +297,11 @@ void Simulator::fire_node(std::uint32_t slot, detail::EventNode& n) {
 }
 
 void Simulator::fire_next() {
-  const HeapEntry top = heap_[0];
-  if (top.slot & kChainFlag) {
-    // Fire exactly one member (the head = smallest seq) per call, so
-    // step()'s one-event contract holds. The shared entry is popped only
-    // once its last member is gone — and is popped *before* the callback
-    // runs, because the callback may cancel elsewhere and trigger a heap
-    // compaction that would reap (and recycle) an empty chain itself.
-    const std::uint32_t ci = top.slot & ~kChainFlag;
-    Chain& c = chains_[ci];
-    const std::uint32_t slot = c.head;
-    detail::EventNode& n = node(slot);
-    c.head = n.next;
-    if (c.head == detail::kNilLink)
-      c.tail = detail::kNilLink;
-    else
-      node(c.head).prev = detail::kNilLink;
-    if (--c.count == 0) {
-      heap_pop_top();
-      free_chain(ci);
-    }
-    fire_node(slot, n);
-  } else {
-    heap_pop_top();
-    fire_node(top.slot, node(top.slot));
-  }
+  // Pop before the callback runs: it may schedule or cancel, and either
+  // can move the heap.
+  const std::uint32_t slot = heap_[0].slot;
+  heap_pop_top();
+  fire_node(slot, node(slot));
 }
 
 bool Simulator::step() {

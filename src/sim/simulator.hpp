@@ -23,11 +23,8 @@
 //    list operations that never leave stale entries behind. The wheel is
 //    a staging area only: buckets are flushed into the heap before any
 //    of their events can become the next to fire, so global (time, seq)
-//    FIFO order is preserved exactly.
-//  * Same-tick runs are batched: consecutive schedules for one instant
-//    collapse into a single heap entry backed by an intrusive chain, so
-//    one heap settle drains a whole burst (and a wheel bucket flush
-//    re-batches the runs it pushes). Chain members cancel in O(1).
+//    FIFO order is preserved exactly. Every heap-resident event has its
+//    own (time, seq) entry; same-instant events sort by seq alone.
 //  * A key can be reserved before its event exists (reserve_seq() /
 //    schedule_reserved()), and passed() tells whether a key's turn has
 //    come. Link uses the pair to schedule its transmitter release only
@@ -44,7 +41,6 @@
 // traces (including a heap-only mode with the wheel disabled).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -68,12 +64,11 @@ inline constexpr std::uint32_t kNilLink = 0xFFFFFFFFu;
 
 // Where an event currently lives. Cancellation and reschedule dispatch on
 // this: heap residents are removed lazily (their entry goes stale), wheel
-// and chain residents unlink in O(1).
+// residents unlink in O(1).
 enum : std::uint8_t {
   kLocFree = 0,    // slot unoccupied
-  kLocHeap = 1,    // single heap entry carries it
-  kLocChain = 2,   // member of a same-tick chain (one shared heap entry)
-  kLocWheel0 = 3,  // wheel level = loc - kLocWheel0
+  kLocHeap = 1,    // its own heap entry carries it
+  kLocWheel0 = 2,  // wheel level = loc - kLocWheel0
 };
 
 struct EventNode {
@@ -82,9 +77,8 @@ struct EventNode {
   // event was cancelled/fired and the slot is back on the free list).
   std::uint64_t seq = 0;
   std::int64_t at_ps = 0;          // absolute fire time
-  std::uint32_t next = kNilLink;   // intrusive wheel-bucket / chain list
+  std::uint32_t next = kNilLink;   // intrusive wheel-bucket list
   std::uint32_t prev = kNilLink;
-  std::uint32_t owner = 0;         // chain index while loc == kLocChain
   std::uint8_t loc = kLocFree;
   std::uint8_t bucket = 0;         // wheel bucket while wheel-resident
 };
@@ -177,7 +171,7 @@ class Simulator {
   // event usually has nothing to do (Link's transmitter release) reserves
   // the key up front and schedules only when there is work: every other
   // event keeps its key, and same-instant order is unchanged. The event
-  // becomes a plain heap entry (no wheel staging, no same-tick batching).
+  // becomes a plain heap entry (no wheel staging).
   // `seq` must come from reserve_seq(), be scheduled at most once, and
   // the key must not have passed(). Cancelling a reserved event spends
   // its key: the cancelled heap entry keeps (at, seq) and could match a
@@ -267,24 +261,7 @@ class Simulator {
   struct HeapEntry {
     Time at;
     std::uint64_t seq;
-    // Slot index of a single event, or kChainFlag | chain index for a
-    // batched same-tick run.
     std::uint32_t slot;
-  };
-  static constexpr std::uint32_t kChainFlag = 0x80000000u;
-
-  // A same-tick run: seq-ascending events at one instant sharing a single
-  // heap entry keyed by (at, seq of the head member). Members form an
-  // intrusive doubly-linked list through their EventNodes and fire head-
-  // first, which is exactly ascending-seq order. Firing or cancelling the
-  // head leaves the key stale-low; heap_settle_top() re-keys the entry to
-  // the new head before it fires, so an event keyed between two members
-  // (schedule_reserved) still fires between them.
-  struct Chain {
-    std::uint32_t head;
-    std::uint32_t tail;
-    std::uint32_t count;
-    std::int64_t at_ps;
   };
 
   // Min-order on (at, seq): FIFO among events at the same instant.
@@ -308,7 +285,6 @@ class Simulator {
   static constexpr int kWheelSlots = 1 << kWheelSlotBits;
   static constexpr int kWheelShift0 = 26;
   static constexpr std::int64_t kMaxPs = INT64_MAX;
-  static constexpr std::int64_t kNoCache = -1;
 
   // Compact the heap once it is more than half stale (and big enough for
   // the rebuild to be worth it). Bounds heap memory at ~2x the live count
@@ -326,7 +302,7 @@ class Simulator {
   // fast path; they are defined inline (below the class) so schedule_at()
   // — itself a template instantiated at every call site — compiles down
   // to straight-line code with no out-of-line calls except when the pool
-  // has to grow, a same-tick run forms, or the event is wheel-bound.
+  // has to grow or the event is wheel-bound.
   RRTCP_HOT std::uint32_t alloc_slot() {
     if (free_.empty()) grow_pool();
     const std::uint32_t slot = free_.back();
@@ -346,7 +322,7 @@ class Simulator {
     return seq != 0 && node(slot).seq == seq;
   }
 
-  // Route a freshly-sequenced node into wheel, chain, or heap.
+  // Route a freshly-sequenced node into wheel or heap.
   RRTCP_HOT void insert_event(std::uint32_t slot, detail::EventNode& n) {
     if (wheel_enabled_ &&
         (n.at_ps >> kWheelShift0) > (wheel_now_ps_ >> kWheelShift0)) {
@@ -356,23 +332,13 @@ class Simulator {
     insert_near(slot, n);
   }
 
-  // Near-horizon (or wheel-overflow): heap entry, with the same-tick run
-  // cache deciding whether this event extends an open chain.
+  // Near-horizon (or wheel-overflow): the event's own heap entry.
   RRTCP_HOT void insert_near(std::uint32_t slot, detail::EventNode& n) {
-    if (n.at_ps == cache_at_ps_) {
-      insert_same_tick(slot, n);
-      return;
-    }
     n.loc = detail::kLocHeap;
-    cache_at_ps_ = n.at_ps;
-    cache_ref_ = slot;
-    cache_seq_ = n.seq;
-    cache_is_chain_ = false;
     heap_push(HeapEntry{Time::picoseconds(n.at_ps), n.seq, slot});
   }
 
   RRTCP_HOT void insert_far(std::uint32_t slot, detail::EventNode& n);
-  RRTCP_HOT void insert_same_tick(std::uint32_t slot, detail::EventNode& n);
 
   // Wheel internals (simulator.cpp).
   RRTCP_HOT void wheel_link(int level, std::uint32_t slot,
@@ -380,19 +346,6 @@ class Simulator {
   RRTCP_HOT void wheel_unlink(detail::EventNode& n);
   RRTCP_HOT void advance_wheel_once();
   RRTCP_HOT void recompute_wheel_lb();
-
-  // Chain internals.
-  RRTCP_HOT std::uint32_t alloc_chain(std::int64_t at_ps);
-  RRTCP_HOT void free_chain(std::uint32_t ci) {
-    // free_chains_ never outgrows chains_, whose growth is the audited
-    // (reserved, amortized) path.
-    // NOLINTNEXTLINE(rrtcp-hot-path-alloc)
-    free_chains_.push_back(ci);
-  }
-  RRTCP_HOT std::uint32_t upgrade_to_chain(std::uint32_t anchor_slot);
-  RRTCP_HOT void chain_append(std::uint32_t ci, std::uint32_t slot,
-                              detail::EventNode& n);
-  RRTCP_HOT void chain_unlink(detail::EventNode& n);
 
   RRTCP_HOT void heap_push(HeapEntry e) {
     std::size_t i = heap_.size();
@@ -418,8 +371,7 @@ class Simulator {
   // reports whether a live heap top exists. After it returns true,
   // heap_[0] is the globally next event in (at, seq) order.
   RRTCP_HOT bool settle_ready(std::int64_t limit_ps);
-  // Executes the next event (one chain member at most per call); caller
-  // must have settle_ready() == true.
+  // Executes the next event; caller must have settle_ready() == true.
   RRTCP_HOT void fire_next();
   RRTCP_HOT void fire_node(std::uint32_t slot, detail::EventNode& n);
   // Lazy-cancellation bookkeeping: count a newly-dead heap entry and
@@ -433,49 +385,6 @@ class Simulator {
   std::vector<HeapEntry> heap_;
   std::vector<std::unique_ptr<detail::EventNode[]>> chunks_;
   std::vector<std::uint32_t> free_;
-
-  // Same-tick run cache: the instant and identity of the most recent heap
-  // insert, so the next same-instant insert can extend it into / along a
-  // chain. cache_seq_ is the seq of the single anchor, or of the chain's
-  // tail member — a mismatch means the anchor fired/cancelled/moved (or
-  // the chain index was recycled) and the cache is stale.
-  std::int64_t cache_at_ps_ = kNoCache;
-  std::uint32_t cache_ref_ = 0;
-  std::uint64_t cache_seq_ = 0;
-  bool cache_is_chain_ = false;
-
-  std::vector<Chain> chains_;
-  std::vector<std::uint32_t> free_chains_;
-
-  // Open same-instant runs during a wheel flush, keyed by instant in a
-  // small direct-mapped table (2-way probe, claim-once, never evicted
-  // within a flush). A bucket flush visits instants in list order, which
-  // interleaves arbitrarily — a single "current run" would only batch
-  // consecutive same-instant nodes (and, worse, could re-open an instant
-  // at a lower key and then absorb higher seqs past a mid-key entry,
-  // breaking FIFO). The table keeps one run per instant alive for the
-  // whole flush with a monotone seq high-water mark: a node batches only
-  // if its seq exceeds everything already emitted for that instant, so
-  // chain member ranges of same-instant heap entries never overlap and
-  // the heap's (at, seq) tie-break yields exact insertion order.
-  // `epoch` tags entries per advance_wheel_once() call; stale entries
-  // from earlier flushes never match and need no clearing.
-  struct FlushRun {
-    std::int64_t at_ps = 0;
-    std::uint64_t epoch = 0;
-    std::uint64_t max_seq = 0;  // highest seq emitted for this instant
-    std::uint32_t ref = 0;      // anchor slot, or chain index if is_chain
-    bool is_chain = false;
-  };
-  static constexpr std::uint32_t kFlushRunSlots = 128;  // power of two
-  static std::uint32_t flush_slot_of(std::int64_t at_ps) {
-    return static_cast<std::uint32_t>(
-               (static_cast<std::uint64_t>(at_ps) * 0x9E3779B97F4A7C15ULL) >>
-               57) &
-           (kFlushRunSlots - 1);
-  }
-  std::array<FlushRun, kFlushRunSlots> flush_runs_{};
-  std::uint64_t flush_epoch_ = 0;
 
   // Timer wheel: per-level bucket lists + occupancy bitmaps. wheel_now_ps_
   // is the monotone "flushed up to" horizon (>= bucket start of everything

@@ -188,7 +188,7 @@ TEST(AllocRegression, TimerChurnSteadyStateIsAllocationFree) {
     sim.run();
   };
 
-  churn(64);  // warm: pool chunk, heap vector, chain table
+  churn(64);  // warm: pool chunk, heap vector
 
   const std::uint64_t before = test::allocations();
   constexpr std::uint64_t kRounds = 2'000;

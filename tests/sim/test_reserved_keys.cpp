@@ -3,10 +3,10 @@
 // A reserved event must fire exactly where an event scheduled at
 // reservation time would have: after everything keyed before it, before
 // everything keyed after it, whatever the scheduler did with those other
-// events in between (same-tick chains, wheel staging, cancellation,
-// re-sequencing). The directed tests pin the cases where the scheduler's
-// internal batching could get that wrong; the randomized test checks every
-// firing against a brute-force ordered set of pending (time, seq) keys.
+// events in between (wheel staging, cancellation, re-sequencing). The
+// directed tests pin a reserved key landing between same-instant events;
+// the randomized test checks every firing against a brute-force ordered
+// set of pending (time, seq) keys.
 #include <cstdint>
 #include <map>
 #include <set>
@@ -22,29 +22,23 @@
 namespace rrtcp::sim {
 namespace {
 
-std::size_t live_heap_entries(const Simulator& sim) {
-  return sim.heap_entries() - sim.stale_heap_entries();
-}
-
-// A, then a reserved key, then B, all at one instant: B chains behind A
-// (one heap entry), and the reserved event R sorts between them. The
-// chain's entry must be re-keyed to B once A has fired, or B jumps R.
-TEST(ReservedKeys, ReservedEventFiresBetweenChainMembers) {
+// A, then a reserved key, then B, all at one instant, with R scheduled
+// under the reserved key after both: R sorts between A and B.
+TEST(ReservedKeys, ReservedEventFiresBetweenSameInstantEvents) {
   Simulator sim;
   std::string order;
   const Time x = Time::microseconds(10);
   sim.schedule_at(x, [&] { order += 'A'; });
   const std::uint64_t r = sim.reserve_seq();
   sim.schedule_at(x, [&] { order += 'B'; });
-  ASSERT_EQ(live_heap_entries(sim), 1u) << "A and B should share a chain";
   sim.schedule_reserved(x, r, [&] { order += 'R'; });
   sim.run();
   EXPECT_EQ(order, "ARB");
 }
 
-// The same when the chain's head is cancelled before R is inserted: the
-// entry still carries A's key and must be re-keyed to B.
-TEST(ReservedKeys, ReservedEventAfterCancelledChainHead) {
+// The same when the first same-instant event is cancelled before R is
+// inserted: R still fires ahead of the events keyed after it.
+TEST(ReservedKeys, ReservedEventAfterCancelledSameInstantHead) {
   Simulator sim;
   std::string order;
   const Time x = Time::microseconds(10);
@@ -59,9 +53,9 @@ TEST(ReservedKeys, ReservedEventAfterCancelledChainHead) {
 }
 
 // A and B staged in the timer wheel (X several ms ahead); R is inserted
-// later, from inside an earlier event. The wheel flush re-batches A and B
-// into one chain, and R must still fire between them.
-TEST(ReservedKeys, ReservedEventBetweenWheelFlushedChainMembers) {
+// later, from inside an earlier event. After the wheel flushes A and B to
+// the heap, R must still fire between them.
+TEST(ReservedKeys, ReservedEventBetweenWheelFlushedSameInstantEvents) {
   Simulator sim;
   std::string order;
   const Time x = Time::milliseconds(8);

@@ -9,8 +9,8 @@
 // the trace. On top of the differential, this file pins the observable
 // two-tier invariants directly: pending_events() counts live events (not
 // stale heap residue), far-future cancels are O(1) wheel unlinks, cancel
-// storms keep the heap compacted, and a same-tick chain still fires one
-// event per step().
+// storms keep the heap compacted, a same-instant burst fires one event per
+// step(), and every heap-resident event has its own heap entry.
 #include <cstdio>
 #include <functional>
 #include <string>
@@ -166,9 +166,7 @@ TEST(TimerChurn, SameInstantFifoAcrossWheelHeapBoundary) {
 // wheel level), M direct-inserted into the fine level while L still sits
 // at the coarse level, H direct-inserted after L has cascaded down. The
 // flush then walks the bucket in list order [M, L, H], i.e. NON-monotone
-// seq order — and must still fire in seq (= insertion) order. A flush that
-// tracked only one open run would re-open at L's low key and batch H
-// behind it, firing H before M.
+// seq order — and must still fire in seq (= insertion) order.
 template <typename Sim>
 std::string cascade_interleave_order() {
   Sim sim;
@@ -245,7 +243,7 @@ TEST(TimerChurn, CancelStormKeepsHeapCompacted) {
   std::vector<sim::EventHandle> hs;
   constexpr int kN = 8192;
   hs.reserve(kN);
-  // Distinct sub-wheel-granule instants: all heap, no same-tick chains.
+  // Distinct sub-wheel-granule instants: all heap, one entry each.
   for (int i = 0; i < kN; ++i)
     hs.push_back(sim.schedule_in(sim::Time::nanoseconds(i * 8), [] {}));
   EXPECT_EQ(sim.heap_entries(), static_cast<std::size_t>(kN));
@@ -259,10 +257,10 @@ TEST(TimerChurn, CancelStormKeepsHeapCompacted) {
   EXPECT_EQ(sim.stale_heap_entries(), 0u);
 }
 
-// A burst staged at one far-future instant collapses into a same-tick
-// chain behind a single heap entry — but step() still fires exactly one
-// event at a time, in insertion order.
-TEST(TimerChurn, ChainedBurstFiresOneEventPerStep) {
+// A burst staged at one far-future instant flushes from the wheel to the
+// heap together, and step() still fires exactly one event at a time, in
+// insertion order.
+TEST(TimerChurn, SameInstantBurstFiresOneEventPerStep) {
   sim::Simulator sim;
   const auto at = sim::Time::seconds(1);
   std::string order;
@@ -319,6 +317,91 @@ TEST(TimerChurn, RescheduleCrossesWheelHeapBoundaryBothWays) {
   EXPECT_EQ(fired[0], sim::Time::microseconds(3));
   EXPECT_EQ(fired[1], sim::Time::seconds(1));
   EXPECT_EQ(sim.events_executed(), 2u);
+}
+
+// Every heap-resident event has exactly one live heap entry of its own,
+// and the stale count that drives compaction is exact: after any mix of
+// schedule, cancel, reschedule, reserved schedule and step, the live
+// entries (physical minus stale) equal the events not staged in the wheel.
+// Delays mix same-instant, near-horizon and wheel-range targets.
+void check_heap_entries(std::uint64_t seed) {
+  constexpr int kOps = 20'000;
+  constexpr std::size_t kMaxHandles = 256;
+  sim::Rng rnd{seed, "heap-entries"};
+  sim::Simulator sim;
+  std::vector<sim::EventHandle> hs;
+  std::uint64_t fired = 0;
+  sim::Time reserved_at = sim::Time::zero();
+  std::uint64_t reserved_seq = 0;
+  auto delay = [&]() -> sim::Time {
+    switch (rnd.uniform_int(0, 3)) {
+      case 0:
+        return sim::Time::zero();  // same instant as now()
+      case 1:  // near horizon, on a coarse grid for ties
+        return sim::Time::microseconds(
+            static_cast<std::int64_t>(rnd.uniform_int(0, 4)) * 10);
+      case 2:  // wheel levels 1-2
+        return sim::Time::milliseconds(
+            static_cast<std::int64_t>(rnd.uniform_int(1, 40)) * 5);
+      default:  // wheel level 3
+        return sim::Time::seconds(
+            static_cast<std::int64_t>(rnd.uniform_int(1, 3)));
+    }
+  };
+  auto pick = [&]() -> sim::EventHandle& {
+    return hs[rnd.uniform_int(0, hs.size() - 1)];
+  };
+  auto keep = [&](sim::EventHandle h) {
+    if (hs.size() < kMaxHandles)
+      hs.push_back(h);
+    else
+      pick() = h;
+  };
+  for (int op = 0; op < kOps; ++op) {
+    switch (rnd.uniform_int(0, 5)) {
+      case 0:
+      case 1:
+        keep(sim.schedule_in(delay(), [&fired] { ++fired; }));
+        break;
+      case 2:
+        if (!hs.empty()) pick().cancel();
+        break;
+      case 3: {
+        if (hs.empty()) break;
+        sim::EventHandle& h = pick();
+        if (h.pending()) h = sim.reschedule_in(h, delay());
+        break;
+      }
+      case 4:
+        // Fill the key reserved by the previous case-4 op, so events
+        // scheduled in between sort after it, then reserve the next.
+        if (reserved_seq != 0 && !sim.passed(reserved_at, reserved_seq))
+          keep(sim.schedule_reserved(reserved_at, reserved_seq,
+                                     [&fired] { ++fired; }));
+        reserved_at = sim.now() + delay();
+        reserved_seq = sim.reserve_seq();
+        break;
+      default:
+        sim.step();
+        break;
+    }
+    ASSERT_EQ(sim.heap_entries() - sim.stale_heap_entries(),
+              sim.pending_events() - sim.wheel_events())
+        << "after op " << op;
+  }
+  sim.run();
+  EXPECT_GT(fired, 0u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.wheel_events(), 0u);
+  EXPECT_EQ(sim.heap_entries(), 0u);
+  EXPECT_EQ(sim.stale_heap_entries(), 0u);
+}
+
+TEST(TimerChurn, EveryHeapEventHasItsOwnHeapEntry) {
+  for (int s = 0; s < kSeeds; ++s) {
+    SCOPED_TRACE("seed " + std::to_string(s));
+    check_heap_entries(static_cast<std::uint64_t>(9100 + s));
+  }
 }
 
 }  // namespace
